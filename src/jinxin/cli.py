@@ -9,6 +9,7 @@ from pathlib import Path
 
 from . import harness
 from .harness import CheckOutcome, ConfigError, RunConfig
+from .schemes import InstabilityError
 
 CHECK_NAMES = ("identity", "residuals", "theorem", "entropy-ineq", "all")
 
@@ -99,12 +100,14 @@ def parse_args(argv) -> Command:
         for name in harness.CONFIG_KEYS.values()
         if getattr(ns, name, None) is not None
     }
-    if ns.command == "study" and "well_prepared" not in overrides and ns.config is None:
-        # the rate protocol starts from the closure so the initial relative
-        # entropy vanishes; profile runs keep the flat-equilibrium start
-        overrides["well_prepared"] = True
     try:
-        config = harness.make_config(ns.config, **overrides)
+        values = harness.load_config_file(ns.config) if ns.config is not None else {}
+        values.update(overrides)  # flags beat the file
+        if ns.command == "study":
+            # the rate protocol starts from the closure so the initial relative
+            # entropy vanishes; profile runs keep the flat-equilibrium start
+            values.setdefault("well_prepared", True)
+        config = harness.make_config(None, **values)
     except (ConfigError, OSError) as exc:
         parser.error(str(exc))
     eps_list = ()
@@ -178,7 +181,7 @@ def execute(cmd: Command) -> int:
             return _execute_study(cmd)
         if cmd.kind == "verify":
             return _execute_verify(cmd)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, InstabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError(f"unknown command kind {cmd.kind!r}")

@@ -77,6 +77,9 @@ class RunConfig:
             self.grid()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        for name in ("u_left", "u_right"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not model.check_subcharacteristic(p, (self.u_left, self.u_right)):
             raise ConfigError(
                 "subcharacteristic condition violated: "
@@ -216,13 +219,18 @@ def write_series(path: str | Path, series: ErrorSeries) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def run_pair(config: RunConfig) -> RunResult:
+def run_pair(config: RunConfig, _k_norms: bool = True) -> RunResult:
     """Advance both solutions to t_final, accumulating norms and budgets.
 
     The shared step comes from the scheme's stability rule and lands exactly
     on t_final.  All space-time integrals use left-endpoint quadrature, the
     same rule that defines the discrete L2(Q_t) norm.  Entropy budgets are
     accumulated for the semi-discrete scheme with the linear flux.
+
+    The four fields live in one ``schemes.PairMarch`` block: the splitting
+    scheme advances it in place, the semi-discrete RK4 steppers reload it.
+    ``_k_norms=False`` skips the two K-norm integrals (the rate study reads
+    only the error sums); the series then reports them as NaN.
     """
     config.validate()
     p = config.params()
@@ -246,6 +254,7 @@ def run_pair(config: RunConfig) -> RunResult:
     semi = config.scheme == SEMI_DISCRETE
     step = schemes.semi_discrete_dt(p, grid) if semi else schemes.marching_dt(p, grid)
     dt, n_steps = step.dt, step.n_steps
+    march = schemes.PairMarch(p, grid, dt, u0, v0, ub0, vb0, curvature=_k_norms)
 
     track_entropy = semi and p.flux == model.LINEAR
     res_acc = ResidualIntegrals(dx=grid.dx) if track_entropy else None
@@ -261,13 +270,15 @@ def run_pair(config: RunConfig) -> RunResult:
     wgt_rec: list[float] = []
     kdv_rec: list[float] = []
     kdxx_rec: list[float] = []
-    l2_sum = wgt_sum = kdv_sum = kdxx_sum = 0.0
+    l2_sum = wgt_sum = 0.0
+    kdv_sum = kdxx_sum = 0.0 if _k_norms else math.nan
     boundary_inflow = 0.0
     mass0 = grid.dx * float(hyp.u.sum())
     dx = grid.dx
+    t = 0.0  # the splitting march's clock
 
-    def record(t: float, du: np.ndarray, dv: np.ndarray, dump_tag: str | None) -> None:
-        t_rec.append(t)
+    def record(t_k: float, dump_tag: str | None) -> None:
+        t_rec.append(t_k)
         phi_rec.append(diagnostics.weighted_error_total(p, grid, du, dv))
         l2_rec.append(l2_sum)
         wgt_rec.append(wgt_sum)
@@ -279,39 +290,34 @@ def run_pair(config: RunConfig) -> RunResult:
     lam2 = p.lam**2
     eps2 = p.eps**2
     a_cross = p.a if p.flux == model.LINEAR else 0.0
-    two_dx = 2.0 * dx
-    dx2 = dx * dx
+    diff = np.empty((2, grid.n_cells))
+    du, dv = diff
+    squares = np.empty((2, grid.n_cells))
 
     for k in range(n_steps):
-        du = hyp.u - lim.ubar
-        dv = hyp.v - lim.vbar
+        np.subtract(march.relaxed, march.limit, out=diff)
 
         recording = k == 0 or (config.record_every > 0 and k % config.record_every == 0)
         if recording:
-            record(k * dt, du, dv, "initial" if k == 0 else f"{k:08d}")
+            if not semi:
+                hyp, lim = march.states(t)
+            record(k * dt, "initial" if k == 0 else f"{k:08d}")
             if track_entropy:
                 _, rel = diagnostics.identity_mismatch(p, grid, hyp, lim)
                 identity_rel_max = max(identity_rel_max, rel)
 
         # fused left-endpoint accumulation of the space-time integrals
-        du2 = float((du * du).sum())
-        dv2 = float((dv * dv).sum())
-        cross = float((du * dv).sum()) if a_cross != 0.0 else 0.0
+        du2, dv2 = np.multiply(diff, diff, out=squares).sum(axis=1).tolist()
+        cross = float(np.multiply(du, dv, out=squares[0]).sum()) if a_cross != 0.0 else 0.0
         l2_sum += dt * dx * (du2 + dv2)
         wgt_sum += dt * dx * (0.5 * lam2 * du2 + 0.5 * eps2 * dv2 - eps2 * a_cross * cross)
 
-        # K norms by the closure chain rule; the marched vbar sits on the
-        # closure by construction, so the validating public rhs is bypassed
-        ue = model.pad_edges(lim.ubar)
-        ve = model.pad_edges(lim.vbar)
-        dubar_dt = (-(ve[2:] - ve[:-2]) + p.lam * (ue[2:] - 2.0 * lim.ubar + ue[:-2])) / two_dx
-        de = model.pad_edges(dubar_dt)
-        dvbar_dt = model.flux_derivative(p.flux, p.a, lim.ubar) * dubar_dt - lam2 * (
-            de[2:] - de[:-2]
-        ) / two_dx
-        kdv_sum += dt * dx * float((dvbar_dt * dvbar_dt).sum())
-        dxx_vbar = (ve[2:] - 2.0 * lim.vbar + ve[:-2]) / dx2
-        kdxx_sum += dt * dx * float((dxx_vbar * dxx_vbar).sum())
+        march.limit_rate()
+        if _k_norms:
+            k_fields = march.closure_rates()  # dvbar/dt and D_xx vbar
+            kdv2, kdxx2 = np.multiply(k_fields, k_fields, out=k_fields).sum(axis=1).tolist()
+            kdv_sum += dt * dx * kdv2
+            kdxx_sum += dt * dx * kdxx2
 
         if res_acc is not None:
             res_acc.add(p, grid, hyp, lim, dt)
@@ -319,20 +325,18 @@ def run_pair(config: RunConfig) -> RunResult:
         if semi:
             hyp = schemes.rk4_hyperbolic_step(p, grid, hyp, dt)
             lim = schemes.rk4_limit_step(p, grid, lim, dt)
+            march.load(hyp.u, hyp.v, lim.ubar, lim.vbar)
         else:
             # boundary HLL fluxes collapse to the edge v under copy ghosts
-            boundary_inflow += dt * (float(hyp.v[0]) - float(hyp.v[-1]))
-            hyp = schemes.jpt_step(p, grid, hyp, dt)
-            # the limit scheme is the forward-Euler step of its own
-            # right-hand side, already computed for the K norms
-            ubar = lim.ubar + dt * dubar_dt
-            if not np.isfinite(ubar).all():
-                raise schemes.InstabilityError("non-finite limit state during march")
-            lim = LimitState(ubar=ubar, vbar=model.equilibrium_v(p, grid, ubar), t=lim.t + dt)
+            boundary_inflow += dt * (float(march.v[0]) - float(march.v[-1]))
+            march.convect()
+            march.relax()
+            t += dt
 
-    du = hyp.u - lim.ubar
-    dv = hyp.v - lim.vbar
-    record(p.t_final, du, dv, "final")
+    np.subtract(march.relaxed, march.limit, out=diff)
+    if not semi:
+        hyp, lim = march.states(t)
+    record(p.t_final, "final")
     if track_entropy:
         _, rel = diagnostics.identity_mismatch(p, grid, hyp, lim)
         identity_rel_max = max(identity_rel_max, rel)
@@ -441,7 +445,7 @@ def convergence_study(config: RunConfig, epsilons=DEFAULT_EPS_SWEEP) -> StudyRes
         )
         try:
             run_cfg.validate()
-            result = run_pair(run_cfg)
+            result = run_pair(run_cfg, _k_norms=False)
         except (ConfigError, schemes.InstabilityError) as exc:
             failures.append((eps, str(exc)))
             continue

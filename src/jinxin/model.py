@@ -28,6 +28,11 @@ FLUX_KINDS = (LINEAR, BURGERS)
 CellField = np.ndarray
 
 
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical and numerical constants shared by every scheme.
@@ -45,6 +50,8 @@ class ModelParams:
     t_final: float = 0.1
 
     def __post_init__(self) -> None:
+        for name in ("eps", "lam", "a", "cfl", "t_final"):
+            _require_finite(name, getattr(self, name))
         # eps = 0 is admitted so the relaxation update can be evaluated in
         # its limit form; entropy/diagnostic routines insist on eps > 0.
         if self.eps < 0:
@@ -68,6 +75,8 @@ class Grid:
     x_max: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite("x_min", self.x_min)
+        _require_finite("x_max", self.x_max)
         if self.n_cells < 3:
             raise ValueError(f"need at least 3 cells, got {self.n_cells}")
         if not self.x_max > self.x_min:
@@ -111,11 +120,19 @@ def pad_edges(w: np.ndarray) -> np.ndarray:
     return np.concatenate((w[:1], w, w[-1:]))
 
 
-def flux_eval(flux: str, a: float, u):
-    """Evaluate the scalar flux: a*u for linear, u^2/2 for Burgers."""
+def flux_eval(flux: str, a: float, u, out: np.ndarray | None = None):
+    """Evaluate the scalar flux: a*u for linear, u^2/2 for Burgers.
+
+    With ``out`` the values of the array ``u`` are written there, without
+    allocating.
+    """
     if flux == LINEAR:
+        if out is not None:
+            return np.multiply(a, u, out=out)
         return a * np.asarray(u, dtype=float) if np.ndim(u) else a * u
     if flux == BURGERS:
+        if out is not None:
+            return np.multiply(0.5, np.square(u, out=out), out=out)
         return 0.5 * np.square(u) if np.ndim(u) else 0.5 * u * u
     raise ValueError(f"unknown flux {flux!r}")
 

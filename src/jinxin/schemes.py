@@ -110,6 +110,241 @@ def _check_finite(*fields: np.ndarray) -> None:
             raise InstabilityError("non-finite cell values: unstable step size or blow-up")
 
 
+def _padded(*rows) -> np.ndarray:
+    """Stack cell fields into one float64 block with a copy ghost at each end."""
+    block = np.empty((len(rows), len(rows[0]) + 2))
+    block[:, 1:-1] = rows
+    _refresh_ghosts(block)
+    return block
+
+
+def _refresh_ghosts(block: np.ndarray) -> None:
+    # the zero-gradient closure of model.pad_edges, for every row at once:
+    # the strided slices pick the ghosts (0, n+1) and the edge cells (1, n)
+    n = block.shape[-1] - 2
+    block[..., :: n + 1] = block[..., 1 : n + 1 : n - 1]
+
+
+class _HLLConvection:
+    """HLL convection of the ghost-padded rows (u, v), in place on their cells.
+
+    The interface fluxes
+        F_u = (v_i + v_{i+1})/2 - lam (u_{i+1} - u_i)/2
+        F_v = lam^2 (u_i + u_{i+1})/2 - lam (v_{i+1} - v_i)/2
+    take one ufunc call per stage for both rows: the neighbour sums enter
+    with the rows swapped and the column coefficients [1/2, lam^2/2].
+    """
+
+    def __init__(self, p: ModelParams, rows: np.ndarray) -> None:
+        n_faces = rows.shape[1] - 1
+        self.left, self.right, self.cells = rows[:, :-1], rows[:, 1:], rows[:, 1:-1]
+        self.sum_coef = np.array([[0.5], [0.5 * p.lam**2]])
+        self.half_lam = 0.5 * p.lam
+        self.terms = np.empty((2, n_faces))
+        self.swapped = self.terms[::-1]
+        self.fluxes = np.empty((2, n_faces))
+        self.east, self.west = self.fluxes[:, 1:], self.fluxes[:, :-1]
+        self.change = np.empty((2, n_faces - 1))
+
+    def interface_fluxes(self) -> np.ndarray:
+        terms, fluxes = self.terms, self.fluxes
+        np.add(self.left, self.right, out=terms)
+        np.multiply(self.sum_coef, self.swapped, out=fluxes)
+        np.subtract(self.right, self.left, out=terms)
+        np.multiply(self.half_lam, terms, out=terms)
+        return np.subtract(fluxes, terms, out=fluxes)
+
+    def step(self, dt_dx: float) -> None:
+        self.interface_fluxes()
+        np.subtract(self.east, self.west, out=self.change)
+        np.multiply(dt_dx, self.change, out=self.change)
+        np.subtract(self.cells, self.change, out=self.cells)
+        _check_finite(self.cells)
+
+
+class _Closure:
+    """Per ghost-padded row w: f(w) - c (w_{i+1} - w_{i-1}) / (2 dx), into ``out``.
+
+    With c = lam^2 this is the discrete closure of the limit pair (as in
+    ``equilibrium_v``); with c = (1 - eps^2) lam^2 it is the target of the
+    implicit relaxation solve.  ``coefs`` holds one c per row.
+    """
+
+    def __init__(self, p: ModelParams, dx: float, rows: np.ndarray, coefs, out: np.ndarray) -> None:
+        self.flux, self.a = p.flux, p.a
+        self.east, self.west, self.cells = rows[:, 2:], rows[:, :-2], rows[:, 1:-1]
+        self.two_dx = 2.0 * dx
+        self.coef = np.array(coefs, dtype=float)[:, None]
+        self.grad = np.empty(out.shape)
+        self.out = out
+
+    def __call__(self) -> np.ndarray:
+        grad, out = self.grad, self.out
+        np.subtract(self.east, self.west, out=grad)
+        np.divide(grad, self.two_dx, out=grad)
+        np.multiply(self.coef, grad, out=grad)
+        flux_eval(self.flux, self.a, self.cells, out=out)
+        return np.subtract(out, grad, out=out)
+
+
+def _relax(v: np.ndarray, target: np.ndarray, weight: float, scratch: np.ndarray) -> None:
+    # v <- target + w (v - target), in place; this form keeps equilibria exact
+    np.subtract(v, target, out=scratch)
+    np.multiply(weight, scratch, out=scratch)
+    np.add(target, scratch, out=v)
+
+
+class _LimitRate:
+    """dubar/dt of the limit scheme on the ghost-padded rows (ubar, vbar).
+
+    The centered vbar flux plus the lam-viscosity of the HLL operator:
+        (lam (ubar_{i+1} - 2 ubar_i + ubar_{i-1}) - (vbar_{i+1} - vbar_{i-1})) / (2 dx).
+    The rate lives in the ghost-padded row ``padded``, so the closure chain
+    rule can difference it.  With ``curvature`` the second difference of
+    vbar is kept as well, as row 1 of ``second``.
+    """
+
+    def __init__(self, p: ModelParams, dx: float, rows: np.ndarray, curvature: bool = False) -> None:
+        n = rows.shape[1] - 2
+        k = 2 if curvature else 1
+        self.lam = p.lam
+        self.two_dx = 2.0 * dx
+        self.east, self.center, self.west = rows[:k, 2:], rows[:k, 1:-1], rows[:k, :-2]
+        self.vbar_east, self.vbar_west = rows[1, 2:], rows[1, :-2]
+        self.second = np.empty((k, n))
+        self.ubar_second = self.second[0]
+        self.jump = np.empty(n)
+        self.padded = np.empty(n + 2)
+        self.rate = self.padded[1:-1]
+
+    def __call__(self) -> np.ndarray:
+        second, rate = self.second, self.rate
+        np.multiply(2.0, self.center, out=second)
+        np.subtract(self.east, second, out=second)
+        np.add(second, self.west, out=second)
+        np.multiply(self.lam, self.ubar_second, out=rate)
+        np.subtract(self.vbar_east, self.vbar_west, out=self.jump)
+        np.subtract(rate, self.jump, out=rate)
+        return np.divide(rate, self.two_dx, out=rate)
+
+
+class _ClosureRate:
+    """dvbar/dt = f'(ubar) dubar/dt - lam^2 (r_{i+1} - r_{i-1}) / (2 dx), r = dubar/dt.
+
+    The closure differentiated through dubar/dt (chain rule, no time
+    differencing), which keeps the discrete entropy identity exact.
+    ``rate_padded`` is dubar/dt with a ghost per side; its ghosts are
+    refreshed on every call.
+    """
+
+    def __init__(
+        self, p: ModelParams, dx: float, ubar: np.ndarray, rate_padded: np.ndarray, out: np.ndarray
+    ) -> None:
+        # for Burgers f'(ubar) is the ubar array itself, not a copy, so the
+        # factor follows ubar when the caller marches it in place
+        self.speed = flux_derivative(p.flux, p.a, ubar)
+        self.lam2 = p.lam**2
+        self.two_dx = 2.0 * dx
+        self.padded = rate_padded
+        self.rate, self.east, self.west = rate_padded[1:-1], rate_padded[2:], rate_padded[:-2]
+        self.diffusive = np.empty(len(ubar))
+        self.out = out
+
+    def __call__(self) -> np.ndarray:
+        diffusive, out = self.diffusive, self.out
+        _refresh_ghosts(self.padded)
+        np.subtract(self.east, self.west, out=diffusive)
+        np.multiply(self.lam2, diffusive, out=diffusive)
+        np.divide(diffusive, self.two_dx, out=diffusive)
+        np.multiply(self.speed, self.rate, out=out)
+        return np.subtract(out, diffusive, out=out)
+
+
+class PairMarch:
+    """The splitting pair and its eps -> 0 limit, marched in place side by side.
+
+    u, v, ubar and vbar are the rows of one float64 block of shape (4, n+2),
+    each with one copy ghost per side; the attributes ``u``, ``v``, ``ubar``
+    and ``vbar`` view their cells.  One step of the shared dt is
+
+        limit_rate()  dubar/dt of the current limit pair
+        convect()     explicit half: HLL convection of (u, v), then the
+                      forward-Euler limit update ubar += dt dubar/dt
+        relax()       implicit half: one centered gradient of (u, ubar)
+                      gives the relaxation target of v and the closure vbar
+
+    and allocates nothing.  With ``curvature`` the march also serves
+    ``closure_rates()``, the fields behind the K norms.
+    """
+
+    def __init__(
+        self, p: ModelParams, grid: Grid, dt: float,
+        u: np.ndarray, v: np.ndarray, ubar: np.ndarray, vbar: np.ndarray,
+        curvature: bool = False,
+    ) -> None:
+        n = grid.n_cells
+        self.block = block = _padded(u, v, ubar, vbar)
+        self.u, self.v, self.ubar, self.vbar = block[:, 1:-1]
+        self.relaxed, self.limit = block[:2, 1:-1], block[2:, 1:-1]
+        self._dt = dt
+        self._dt_dx = dt / grid.dx
+        self._weight = p.eps**2 / (p.eps**2 + dt)
+        self._hll = _HLLConvection(p, block[:2])
+        self._rate = _LimitRate(p, grid.dx, block[2:], curvature)
+        targets = np.empty((2, n))  # the relaxation target of v, the closure vbar
+        self._target, self._closed_vbar = targets
+        self._closure = _Closure(
+            p, grid.dx, block[::2], ((1.0 - p.eps**2) * p.lam**2, p.lam**2), targets
+        )
+        self._scratch = np.empty(n)
+        if curvature:
+            self._k_fields = np.empty((2, n))
+            self._closure_rate = _ClosureRate(
+                p, grid.dx, self.ubar, self._rate.padded, self._k_fields[0]
+            )
+            self._vbar_second = self._rate.second[1]
+            self._dx2 = grid.dx * grid.dx
+
+    def limit_rate(self) -> np.ndarray:
+        """dubar/dt of the current limit pair, as used by the next convect()."""
+        return self._rate()
+
+    def convect(self) -> None:
+        """Explicit half step; limit_rate() must have been called for this step."""
+        self._hll.step(self._dt_dx)
+        np.multiply(self._dt, self._rate.rate, out=self._scratch)
+        np.add(self.ubar, self._scratch, out=self.ubar)
+        if not np.isfinite(self.ubar).all():
+            raise InstabilityError("non-finite limit state during march")
+        _refresh_ghosts(self.block)
+
+    def relax(self) -> None:
+        """Implicit half step: relaxation solve of v, algebraic closure of vbar."""
+        self._closure()
+        _relax(self.v, self._target, self._weight, self._scratch)
+        np.copyto(self.vbar, self._closed_vbar)
+        _refresh_ghosts(self.block)
+
+    def closure_rates(self) -> np.ndarray:
+        """Rows dvbar/dt and D_xx vbar of the current limit pair, after limit_rate().
+
+        Needs ``curvature``.  Both rows are scratch, overwritten by the next call.
+        """
+        self._closure_rate()
+        np.divide(self._vbar_second, self._dx2, out=self._k_fields[1])
+        return self._k_fields
+
+    def states(self, t: float) -> tuple[HyperbolicState, LimitState]:
+        """Copies of the current pairs, stamped with time t."""
+        u, v, ubar, vbar = self.block[:, 1:-1].copy()
+        return HyperbolicState(u=u, v=v, t=t), LimitState(ubar=ubar, vbar=vbar, t=t)
+
+    def load(self, u: np.ndarray, v: np.ndarray, ubar: np.ndarray, vbar: np.ndarray) -> None:
+        """Overwrite the four fields, for a pair advanced by another stepper."""
+        self.block[:, 1:-1] = (u, v, ubar, vbar)
+        _refresh_ghosts(self.block)
+
+
 def hll_fluxes(p: ModelParams, u_ext: np.ndarray, v_ext: np.ndarray):
     """HLL interface fluxes of the frozen-coefficient convection system.
 
@@ -117,18 +352,15 @@ def hll_fluxes(p: ModelParams, u_ext: np.ndarray, v_ext: np.ndarray):
         F_u = (v_i + v_{i+1})/2 - lam (u_{i+1} - u_i)/2
         F_v = lam^2 (u_i + u_{i+1})/2 - lam (v_{i+1} - v_i)/2.
     """
-    flux_u = 0.5 * (v_ext[:-1] + v_ext[1:]) - 0.5 * p.lam * (u_ext[1:] - u_ext[:-1])
-    flux_v = 0.5 * p.lam**2 * (u_ext[:-1] + u_ext[1:]) - 0.5 * p.lam * (v_ext[1:] - v_ext[:-1])
+    flux_u, flux_v = _HLLConvection(p, np.array((u_ext, v_ext), dtype=float)).interface_fluxes()
     return flux_u, flux_v
 
 
 def hll_convection_step(p: ModelParams, grid: Grid, state: HyperbolicState, dt: float) -> HyperbolicState:
     """Conservative update with the HLL fluxes (the non-stiff half step)."""
-    flux_u, flux_v = hll_fluxes(p, pad_edges(state.u), pad_edges(state.v))
-    coef = dt / grid.dx
-    u = state.u - coef * (flux_u[1:] - flux_u[:-1])
-    v = state.v - coef * (flux_v[1:] - flux_v[:-1])
-    _check_finite(u, v)
+    block = _padded(state.u, state.v)
+    _HLLConvection(p, block).step(dt / grid.dx)
+    u, v = block[:, 1:-1]
     return HyperbolicState(u=u, v=v, t=state.t)
 
 
@@ -140,11 +372,10 @@ def relaxation_step(p: ModelParams, grid: Grid, half: HyperbolicState, dt: float
     points in floating point.  Well defined down to eps = 0, where it lands
     on the discrete closure of the limit scheme.
     """
-    ext = pad_edges(half.u)
-    grad = (ext[2:] - ext[:-2]) / (2.0 * grid.dx)
-    target = flux_eval(p.flux, p.a, half.u) - (1.0 - p.eps**2) * p.lam**2 * grad
-    weight = p.eps**2 / (p.eps**2 + dt)
-    v = target + weight * (half.v - target)
+    target = np.empty((1, grid.n_cells))
+    _Closure(p, grid.dx, _padded(half.u), ((1.0 - p.eps**2) * p.lam**2,), target)()
+    v = np.array(half.v, dtype=float)
+    _relax(v, target[0], p.eps**2 / (p.eps**2 + dt), np.empty_like(v))
     return HyperbolicState(u=half.u, v=v, t=half.t)
 
 
@@ -159,15 +390,17 @@ def jpt_step(p: ModelParams, grid: Grid, state: HyperbolicState, dt: float) -> H
 def limit_step(p: ModelParams, grid: Grid, state: LimitState, dt: float) -> LimitState:
     """Explicit step of the limit scheme (the eps -> 0 splitting step).
 
-    ubar update: centered vbar flux plus the lam-viscosity of the HLL
-    operator; vbar then re-closed algebraically.
+    ubar += dt dubar/dt, with the centered vbar flux plus the lam-viscosity
+    of the HLL operator; vbar then re-closed algebraically.
     """
-    ue = pad_edges(state.ubar)
-    ve = pad_edges(state.vbar)
-    coef = dt / (2.0 * grid.dx)
-    ubar = state.ubar - coef * (ve[2:] - ve[:-2]) + p.lam * coef * (ue[2:] - 2.0 * state.ubar + ue[:-2])
+    block = _padded(state.ubar, state.vbar)
+    ubar = block[0, 1:-1]
+    ubar += dt * _LimitRate(p, grid.dx, block)()
     _check_finite(ubar)
-    return LimitState(ubar=ubar, vbar=equilibrium_v(p, grid, ubar), t=state.t + dt)
+    _refresh_ghosts(block)
+    vbar = np.empty((1, grid.n_cells))
+    _Closure(p, grid.dx, block[:1], (p.lam**2,), vbar)()
+    return LimitState(ubar=ubar, vbar=vbar[0], t=state.t + dt)
 
 
 def _hyperbolic_rhs_arrays(p: ModelParams, grid: Grid, u: np.ndarray, v: np.ndarray):
@@ -218,10 +451,8 @@ def limit_semi_discrete_rhs(p: ModelParams, grid: Grid, state: LimitState):
     if gap > ALGEBRAIC_TOL:
         raise ValueError(f"limit state violates the algebraic closure by {gap:.3e}")
     dubar_dt = _limit_ubar_rhs(p, grid, state.ubar)
-    ext = pad_edges(dubar_dt)
-    dvbar_dt = flux_derivative(p.flux, p.a, state.ubar) * dubar_dt - p.lam**2 * (
-        ext[2:] - ext[:-2]
-    ) / (2.0 * grid.dx)
+    rate = _padded(dubar_dt)[0]
+    dvbar_dt = _ClosureRate(p, grid.dx, state.ubar, rate, np.empty(grid.n_cells))()
     return dubar_dt, dvbar_dt
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from jinxin import cli, diagnostics, harness
@@ -56,6 +57,35 @@ class TestParsing:
         cmd = parse_args(["run", "--config", str(path), "--n-cells", "32"])
         assert cmd.config.eps == 0.25
         assert cmd.config.n_cells == 32
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--eps", "nan"),
+            ("--lambda", "nan"),
+            ("--a", "inf"),
+            ("--cfl", "nan"),
+            ("--t-final", "inf"),
+            ("--x-min", "-inf"),
+            ("--x-max", "inf"),
+            ("--u-left", "nan"),
+            ("--u-right", "-inf"),
+        ],
+    )
+    def test_non_finite_value_rejected(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as err:
+            parse_args(["run", f"{flag}={value}"])  # "=" lets "-inf" through argparse
+        assert err.value.code != 0
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_study_config_file_defaults_to_well_prepared(self, tmp_path):
+        path = tmp_path / "study.cfg"
+        path.write_text("eps = 0.25\nn_cells = 64\n")
+        assert parse_args(["study", "--config", str(path)]).config.well_prepared is True
+        path.write_text("well_prepared = false\n")
+        assert parse_args(["study", "--config", str(path)]).config.well_prepared is False
+        cmd = parse_args(["study", "--config", str(path), "--well-prepared", "true"])
+        assert cmd.config.well_prepared is True
 
     def test_help_lists_every_config_flag(self):
         parser = build_parser()
@@ -120,6 +150,14 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "[PASS] residuals" in out
         assert "summation-by-parts" in out
+
+    def test_blow_up_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        # a finite, valid config whose HLL flux overflows on the first step
+        argv = ["run", "--u-left", "1e308", "--nx", "32", "--tfinal", "0.01",
+                "--out-dir", str(tmp_path)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: non-finite")
 
     def test_main_exit_status(self, tmp_path):
         assert cli.main(["run", "--eps", "0.5", "--nx", "32", "--tfinal", "0.01",

@@ -373,3 +373,40 @@ class TestIntegrator:
         lim = LimitState(hyp.u.copy(), model.equilibrium_v(base_params, grid, hyp.u), 0.0)
         with pytest.raises(ValueError):
             schemes.integrate_semi_discrete(base_params, grid, hyp, lim, 1.0, 0.3)
+
+
+class TestPairMarch:
+    @pytest.mark.parametrize("flux, lam", [("linear", 0.72), ("burgers", 3.0)])
+    def test_matches_the_step_functions_bit_for_bit(self, flux, lam):
+        p = ModelParams(eps=0.1, lam=lam, a=0.5, flux=flux)
+        grid = Grid(n_cells=40)
+        u, v, ub, vb = model.riemann_initial(p, grid, 2.0, 1.0)
+        dt = schemes.marching_dt(p, grid).dt
+        march = schemes.PairMarch(p, grid, dt, u, v, ub, vb)
+        hyp, lim = HyperbolicState(u, v, 0.0), LimitState(ub, vb, 0.0)
+        for _ in range(30):
+            march.limit_rate()
+            march.convect()
+            march.relax()
+            hyp = schemes.jpt_step(p, grid, hyp, dt)
+            lim = schemes.limit_step(p, grid, lim, dt)
+        for marched, stepped in zip((march.u, march.v, march.ubar, march.vbar),
+                                    (hyp.u, hyp.v, lim.ubar, lim.vbar)):
+            assert np.array_equal(marched, stepped)
+        assert march.block[:, 0].tolist() == march.block[:, 1].tolist()  # copy ghosts
+        assert march.block[:, -1].tolist() == march.block[:, -2].tolist()
+
+    @pytest.mark.parametrize("flux, lam", [("linear", 0.72), ("burgers", 3.0)])
+    def test_closure_rates_match_the_limit_rhs(self, flux, lam):
+        p = ModelParams(eps=0.1, lam=lam, a=0.5, flux=flux)
+        grid = Grid(n_cells=60)
+        ubar = 1.0 + 0.5 * smooth_bump(grid.centers, width=0.1)
+        vbar = model.equilibrium_v(p, grid, ubar)
+        march = schemes.PairMarch(p, grid, 1e-4, ubar, vbar, ubar, vbar, curvature=True)
+        rate = march.limit_rate().copy()
+        dvbar_dt, dxx_vbar = march.closure_rates()
+        dub, dvb = schemes.limit_semi_discrete_rhs(p, grid, LimitState(ubar, vbar, 0.0))
+        assert np.allclose(rate, dub, rtol=1e-12, atol=1e-12 * np.abs(dub).max())
+        assert np.allclose(dvbar_dt, dvb, rtol=1e-12, atol=1e-12 * np.abs(dvb).max())
+        ext = model.pad_edges(vbar)
+        assert np.allclose(dxx_vbar, (ext[2:] - 2.0 * vbar + ext[:-2]) / grid.dx**2, rtol=1e-12)
