@@ -11,7 +11,6 @@ Modules:
 from .model import (
     BURGERS,
     LINEAR,
-    BoundaryStates,
     ConvexityBounds,
     Grid,
     ModelParams,
@@ -31,9 +30,7 @@ from .schemes import (
     InstabilityError,
     LimitState,
     StepSize,
-    cfl_dt,
     hll_convection_step,
-    integrate_semi_discrete,
     jpt_step,
     limit_semi_discrete_rhs,
     limit_step,
@@ -46,13 +43,9 @@ from .diagnostics import (
     EntropyBudget,
     ErrorSeries,
     TheoremCheck,
-    cell_relative_entropy,
     discrete_re_flux,
     entropy_budget,
     entropy_inequality_check,
-    identity_mismatch,
-    l2_error_spacetime,
-    phi_total,
     residual_sign_checks,
     residuals,
     theorem_bound_check,

@@ -38,11 +38,6 @@ from .schemes import (
 )
 
 
-def cell_relative_entropy(p: ModelParams, u, v, ubar, vbar):
-    """Per-cell relative entropy; same quadratic algebra as the model level."""
-    return relative_entropy(p, u, v, ubar, vbar)
-
-
 def weighted_error_total(p: ModelParams, grid: Grid, du: np.ndarray, dv: np.ndarray) -> float:
     """dx-weighted quadratic error lam^2 du^2/2 + eps^2 dv^2/2 - eps^2 a du dv.
 
@@ -54,12 +49,6 @@ def weighted_error_total(p: ModelParams, grid: Grid, du: np.ndarray, dv: np.ndar
     a_cross = p.a if p.flux == LINEAR else 0.0
     dens = 0.5 * p.lam**2 * du * du + 0.5 * p.eps**2 * dv * dv - p.eps**2 * a_cross * du * dv
     return grid.dx * float(dens.sum())
-
-
-def phi_total(p: ModelParams, grid: Grid, hyp: HyperbolicState, lim: LimitState) -> float:
-    """phi(t): dx-weighted sum of the per-cell relative entropy (linear flux)."""
-    e = cell_relative_entropy(p, hyp.u, hyp.v, lim.ubar, lim.vbar)
-    return grid.dx * float(np.sum(e))
 
 
 def discrete_re_flux(p: ModelParams, du_l, dv_l, du_r, dv_r):
@@ -137,7 +126,7 @@ def entropy_budget(p: ModelParams, grid: Grid, hyp: HyperbolicState, lim: LimitS
     ddu = u_rhs - ub_rhs
     ddv = v_rhs - vb_rhs
 
-    e_cells = cell_relative_entropy(p, hyp.u, hyp.v, lim.ubar, lim.vbar)
+    e_cells = relative_entropy(p, hyp.u, hyp.v, lim.ubar, lim.vbar)
     dedt = (
         p.lam**2 * du * ddu
         + p.eps**2 * dv * ddv
@@ -174,12 +163,6 @@ def entropy_budget(p: ModelParams, grid: Grid, hyp: HyperbolicState, lim: LimitS
         mismatch=mismatch,
         rel_mismatch_max=float(rel.max()),
     )
-
-
-def identity_mismatch(p: ModelParams, grid: Grid, hyp: HyperbolicState, lim: LimitState):
-    """Per-cell defect of the entropy evolution law and its relative max."""
-    budget = entropy_budget(p, grid, hyp, lim)
-    return budget.mismatch, budget.rel_mismatch_max
 
 
 @dataclass
@@ -308,24 +291,6 @@ def residual_sign_checks(acc: ResidualIntegrals, p: ModelParams, theta: float = 
         r3_worst_margin=float(r3_margin),
         theta=theta,
     )
-
-
-def l2_error_spacetime(grid: Grid, trajectory) -> float:
-    """Squared space-time error sum_n dt sum_i dx (du^2 + dv^2).
-
-    ``trajectory`` is a sequence of (HyperbolicState, LimitState) pairs
-    sampled at uniform times; left-endpoint quadrature in time.
-    """
-    pairs = list(trajectory)
-    if len(pairs) < 2:
-        return 0.0
-    dt = pairs[1][0].t - pairs[0][0].t
-    total = 0.0
-    for hyp, lim in pairs[:-1]:
-        du = hyp.u - lim.ubar
-        dv = hyp.v - lim.vbar
-        total += dt * grid.dx * float((du * du).sum() + (dv * dv).sum())
-    return total
 
 
 @dataclass

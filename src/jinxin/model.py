@@ -96,14 +96,6 @@ class Grid:
 
 
 @dataclass(frozen=True)
-class BoundaryStates:
-    """Constant far-field states (u, v) held outside the domain."""
-
-    left: tuple[float, float]
-    right: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class ConvexityBounds:
     """Extreme eigenvalues of the (constant) entropy Hessian."""
 
@@ -229,14 +221,6 @@ def equilibrium_v(p: ModelParams, grid: Grid, ubar: np.ndarray) -> np.ndarray:
     ext = pad_edges(np.asarray(ubar, dtype=float))
     grad = (ext[2:] - ext[:-2]) / (2.0 * grid.dx)
     return flux_eval(p.flux, p.a, np.asarray(ubar, dtype=float)) - p.lam**2 * grad
-
-
-def boundary_states(p: ModelParams, u_left: float, u_right: float) -> BoundaryStates:
-    """Far-field (u, v) pairs; v sits at the flat-state equilibrium f(u)."""
-    return BoundaryStates(
-        left=(u_left, float(flux_eval(p.flux, p.a, u_left))),
-        right=(u_right, float(flux_eval(p.flux, p.a, u_right))),
-    )
 
 
 def riemann_initial(

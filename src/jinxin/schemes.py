@@ -64,15 +64,6 @@ def _land_on_t_final(dt_raw: float, t_final: float) -> StepSize:
     return StepSize(dt=t_final / n, n_steps=n)
 
 
-def cfl_dt(p: ModelParams, grid: Grid) -> StepSize:
-    """Convective CFL step dt = cfl*dx/(2 lam), rounded onto t_final.
-
-    Independent of eps: the stiff relaxation is treated implicitly, so only
-    the frozen wave speeds +-lam restrict the convection step.
-    """
-    return _land_on_t_final(p.cfl * grid.dx / (2.0 * p.lam), p.t_final)
-
-
 def marching_dt(p: ModelParams, grid: Grid) -> StepSize:
     """Step size used to march the splitting and limit schemes.
 
@@ -146,16 +137,13 @@ class _HLLConvection:
         self.east, self.west = self.fluxes[:, 1:], self.fluxes[:, :-1]
         self.change = np.empty((2, n_faces - 1))
 
-    def interface_fluxes(self) -> np.ndarray:
+    def step(self, dt_dx: float) -> None:
         terms, fluxes = self.terms, self.fluxes
         np.add(self.left, self.right, out=terms)
         np.multiply(self.sum_coef, self.swapped, out=fluxes)
         np.subtract(self.right, self.left, out=terms)
         np.multiply(self.half_lam, terms, out=terms)
-        return np.subtract(fluxes, terms, out=fluxes)
-
-    def step(self, dt_dx: float) -> None:
-        self.interface_fluxes()
+        np.subtract(fluxes, terms, out=fluxes)
         np.subtract(self.east, self.west, out=self.change)
         np.multiply(dt_dx, self.change, out=self.change)
         np.subtract(self.cells, self.change, out=self.cells)
@@ -345,17 +333,6 @@ class PairMarch:
         _refresh_ghosts(self.block)
 
 
-def hll_fluxes(p: ModelParams, u_ext: np.ndarray, v_ext: np.ndarray):
-    """HLL interface fluxes of the frozen-coefficient convection system.
-
-    For ghost-padded fields of length n+2, returns the n+1 interface pairs
-        F_u = (v_i + v_{i+1})/2 - lam (u_{i+1} - u_i)/2
-        F_v = lam^2 (u_i + u_{i+1})/2 - lam (v_{i+1} - v_i)/2.
-    """
-    flux_u, flux_v = _HLLConvection(p, np.array((u_ext, v_ext), dtype=float)).interface_fluxes()
-    return flux_u, flux_v
-
-
 def hll_convection_step(p: ModelParams, grid: Grid, state: HyperbolicState, dt: float) -> HyperbolicState:
     """Conservative update with the HLL fluxes (the non-stiff half step)."""
     block = _padded(state.u, state.v)
@@ -480,27 +457,3 @@ def rk4_limit_step(p: ModelParams, grid: Grid, state: LimitState, dt: float) -> 
     ubar = y0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     _check_finite(ubar)
     return LimitState(ubar=ubar, vbar=equilibrium_v(p, grid, ubar), t=state.t + dt)
-
-
-def integrate_semi_discrete(
-    p: ModelParams,
-    grid: Grid,
-    hyp: HyperbolicState,
-    lim: LimitState,
-    t_final: float,
-    dt: float,
-) -> list[tuple[HyperbolicState, LimitState]]:
-    """Advance both method-of-lines systems with RK4 and the shared dt.
-
-    Returns the trajectory of paired states at every step, initial states
-    included, final time t_final = n*dt reached exactly.
-    """
-    n = round(t_final / dt)
-    if abs(n * dt - t_final) > 1e-9 * max(t_final, dt):
-        raise ValueError(f"dt={dt} does not divide t_final={t_final}")
-    trajectory = [(hyp, lim)]
-    for _ in range(n):
-        hyp = rk4_hyperbolic_step(p, grid, hyp, dt)
-        lim = rk4_limit_step(p, grid, lim, dt)
-        trajectory.append((hyp, lim))
-    return trajectory

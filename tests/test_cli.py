@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,14 @@ class TestParsing:
         assert cmd.kind == "study"
         assert cmd.eps_list == (1e-1, 5e-2, 2.5e-2)
         assert cmd.config.well_prepared is True  # rate protocol default
+
+    def test_verify_eps_defaults_to_the_relaxation_regime(self, tmp_path):
+        assert parse_args(["verify"]).config.eps == 0.1
+        assert parse_args(["verify", "--eps", "0.3"]).config.eps == 0.3
+        path = tmp_path / "verify.cfg"
+        path.write_text("eps = 0.2\n")
+        assert parse_args(["verify", "--config", str(path)]).config.eps == 0.2
+        assert parse_args(["run"]).config.eps == 1.0  # the RunConfig default
 
     def test_study_default_sweep(self):
         cmd = parse_args(["study"])
@@ -158,6 +168,26 @@ class TestExecution:
         with np.errstate(over="ignore", invalid="ignore"):
             assert cli.main(argv) == 1
         assert capsys.readouterr().err.startswith("error: non-finite")
+
+    @pytest.mark.parametrize("u_left, u_right", [("1e200", "1"), ("1e160", "0")])
+    def test_overflowing_error_norms_are_an_error(self, u_left, u_right, tmp_path, capsys):
+        # the cells stay finite, the squares of their differences do not
+        argv = ["run", "--u-left", u_left, "--u-right", u_right, "--out-dir", str(tmp_path)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert "nan" not in captured.out and "inf" not in captured.out
+        assert captured.err.startswith("error: non-finite error norms")
+
+    def test_blow_up_prints_only_the_error_line(self, tmp_path, capsys):
+        argv = ["run", "--u-left", "1e308", "--nx", "32", "--tfinal", "0.01",
+                "--out-dir", str(tmp_path)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(argv) == 1
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_main_exit_status(self, tmp_path):
         assert cli.main(["run", "--eps", "0.5", "--nx", "32", "--tfinal", "0.01",

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from jinxin import diagnostics, model, schemes
+from jinxin import diagnostics, harness, model, schemes
 from jinxin.diagnostics import ErrorSeries, ResidualIntegrals
+from jinxin.harness import RunConfig
 from jinxin.model import Grid, ModelParams
 from jinxin.schemes import HyperbolicState, LimitState
 
@@ -19,6 +22,11 @@ def random_smooth(rng, x, scale=1.0):
     return out
 
 
+def weighted_error(p, grid, hyp, lim):
+    """phi: the dx-weighted relative entropy of the pair (linear flux)."""
+    return diagnostics.weighted_error_total(p, grid, hyp.u - lim.ubar, hyp.v - lim.vbar)
+
+
 def random_pair(rng, p, grid):
     x = grid.centers
     hyp = HyperbolicState(u=random_smooth(rng, x), v=random_smooth(rng, x), t=0.0)
@@ -29,17 +37,17 @@ def random_pair(rng, p, grid):
 
 class TestCellEntropyAndPhi:
     def test_zero_at_coincidence(self, base_params):
-        assert diagnostics.cell_relative_entropy(base_params, 1.0, 2.0, 1.0, 2.0) == 0.0
+        assert model.relative_entropy(base_params, 1.0, 2.0, 1.0, 2.0) == 0.0
 
     def test_difference_value(self):
         p = ModelParams(eps=1.0, lam=0.72, a=0.5)
-        got = diagnostics.cell_relative_entropy(p, 1.0, 0.5, 0.0, 0.0)
+        got = model.relative_entropy(p, 1.0, 0.5, 0.0, 0.0)
         assert got == pytest.approx(0.1342, abs=1e-12)
 
     def test_nonnegative_under_subcharacteristic(self, rng):
         p = ModelParams(eps=1.0, lam=0.72, a=0.5)
         du, dv = rng.uniform(-10, 10, size=(2, 1_000_000))
-        values = diagnostics.cell_relative_entropy(p, du, dv, 0.0, 0.0)
+        values = model.relative_entropy(p, du, dv, 0.0, 0.0)
         assert values.min() >= 0.0
 
     def test_phi_identical_states(self, base_params):
@@ -47,7 +55,7 @@ class TestCellEntropyAndPhi:
         u = np.linspace(0, 1, 20)
         hyp = HyperbolicState(u=u, v=u.copy(), t=0.0)
         lim = LimitState(ubar=u.copy(), vbar=u.copy(), t=0.0)
-        assert diagnostics.phi_total(base_params, grid, hyp, lim) == 0.0
+        assert weighted_error(base_params, grid, hyp, lim) == 0.0
 
     def test_phi_single_cell(self, base_params):
         grid = Grid(n_cells=20)
@@ -58,12 +66,12 @@ class TestCellEntropyAndPhi:
         hyp.v[7] = 0.5
         lim = LimitState(ubar=u, vbar=v, t=0.0)
         expected = grid.dx * model.relative_entropy(base_params, 1.0, 0.5, 0.0, 0.0)
-        assert diagnostics.phi_total(base_params, grid, hyp, lim) == pytest.approx(expected)
+        assert weighted_error(base_params, grid, hyp, lim) == pytest.approx(expected)
 
     def test_phi_bounded_by_beta1_norm(self, base_params, rng):
         grid = Grid(n_cells=30)
         hyp, lim = random_pair(rng, base_params, grid)
-        phi = diagnostics.phi_total(base_params, grid, hyp, lim)
+        phi = weighted_error(base_params, grid, hyp, lim)
         bounds = model.convexity_bounds(base_params)
         du = hyp.u - lim.ubar
         dv = hyp.v - lim.vbar
@@ -73,11 +81,9 @@ class TestCellEntropyAndPhi:
     def test_weighted_total_matches_phi_for_linear(self, base_params, rng):
         grid = Grid(n_cells=30)
         hyp, lim = random_pair(rng, base_params, grid)
-        phi = diagnostics.phi_total(base_params, grid, hyp, lim)
-        wgt = diagnostics.weighted_error_total(
-            base_params, grid, hyp.u - lim.ubar, hyp.v - lim.vbar
-        )
-        assert wgt == pytest.approx(phi, rel=1e-12)
+        e_cells = model.relative_entropy(base_params, hyp.u, hyp.v, lim.ubar, lim.vbar)
+        phi = grid.dx * float(np.sum(e_cells))
+        assert weighted_error(base_params, grid, hyp, lim) == pytest.approx(phi, rel=1e-12)
 
 
 class TestDiscreteReFlux:
@@ -165,9 +171,9 @@ class TestIdentityMismatch:
         ubar = np.full(30, 1.2)
         lim = LimitState(ubar=ubar, vbar=model.equilibrium_v(base_params, grid, ubar), t=0.0)
         hyp = HyperbolicState(u=ubar.copy(), v=lim.vbar.copy(), t=0.0)
-        mismatch, rel = diagnostics.identity_mismatch(base_params, grid, hyp, lim)
-        assert np.abs(mismatch).max() == 0.0
-        assert rel == 0.0
+        budget = diagnostics.entropy_budget(base_params, grid, hyp, lim)
+        assert np.abs(budget.mismatch).max() == 0.0
+        assert budget.rel_mismatch_max == 0.0
 
     @pytest.mark.parametrize("eps", [1.0, 0.1])
     def test_randomized_states_machine_exact(self, eps, rng):
@@ -176,8 +182,7 @@ class TestIdentityMismatch:
         worst = 0.0
         for _ in range(50):
             hyp, lim = random_pair(rng, p, grid)
-            _, rel = diagnostics.identity_mismatch(p, grid, hyp, lim)
-            worst = max(worst, rel)
+            worst = max(worst, diagnostics.entropy_budget(p, grid, hyp, lim).rel_mismatch_max)
         assert worst <= 1e-10
 
     def test_scaling_keeps_relative_mismatch_small(self, rng):
@@ -193,8 +198,7 @@ class TestIdentityMismatch:
                 v=lim.vbar + s * (hyp.v - lim.vbar),
                 t=0.0,
             )
-            _, rel = diagnostics.identity_mismatch(p, grid, scaled, lim)
-            assert rel <= 1e-10
+            assert diagnostics.entropy_budget(p, grid, scaled, lim).rel_mismatch_max <= 1e-10
 
 
 class TestResidualChecks:
@@ -236,42 +240,39 @@ class TestResidualChecks:
 
 
 class TestSpaceTimeError:
-    def make_pairs(self, grid, du, dv, n_times, dt):
-        pairs = []
-        zero = np.zeros(grid.n_cells)
-        for k in range(n_times):
-            hyp = HyperbolicState(u=zero + du, v=zero + dv, t=k * dt)
-            lim = LimitState(ubar=zero.copy(), vbar=zero.copy(), t=k * dt)
-            pairs.append((hyp, lim))
-        return pairs
+    """The left-endpoint space-time error sums that run_pair accumulates."""
 
-    def test_identical_trajectories(self, unit_grid):
-        pairs = self.make_pairs(unit_grid, 0.0, 0.0, 5, 0.1)
-        assert diagnostics.l2_error_spacetime(unit_grid, pairs) == 0.0
+    def test_identical_trajectories(self):
+        result = harness.run_pair(RunConfig(u_left=1.5, u_right=1.5, n_cells=50, t_final=0.01))
+        assert result.l2err_sq == 0.0
+        assert result.weighted_err_sq == 0.0
 
-    def test_constant_difference(self):
-        grid = Grid(n_cells=50)  # unit domain
+    def test_constant_difference(self, monkeypatch):
+        # flat equilibria of a pure relaxation (a = 0, so v = vbar = 0) are
+        # fixed points of both schemes: du = d stays put on [0, T]
         d = 0.3
-        pairs = self.make_pairs(grid, d, 0.0, 11, 0.01)  # T = 0.1
-        got = diagnostics.l2_error_spacetime(grid, pairs)
-        assert got == pytest.approx(d * d * 0.1, rel=1e-12)
 
-    def test_entropy_sandwich_in_time(self, rng):
-        p = ModelParams(eps=1.0, lam=0.72, a=0.5)
-        grid = Grid(n_cells=30)
-        dt = 0.05
-        pairs = []
-        phis = []
-        for k in range(4):
-            hyp, lim = random_pair(rng, p, grid)
-            hyp.t = lim.t = k * dt
-            pairs.append((hyp, lim))
-            phis.append(diagnostics.phi_total(p, grid, hyp, lim))
-        err = diagnostics.l2_error_spacetime(grid, pairs)
-        int_phi = dt * sum(phis[:-1])
-        bounds = model.convexity_bounds(p)
-        assert (2.0 / bounds.beta1) * int_phi * (1 - 1e-12) <= err
-        assert err <= (2.0 / bounds.beta0) * int_phi * (1 + 1e-12)
+        def offset_start(p, grid, u_left, u_right, well_prepared=False):
+            zero = np.zeros(grid.n_cells)
+            return zero + d, zero.copy(), zero.copy(), zero.copy()
+
+        monkeypatch.setattr(harness.model, "riemann_initial", offset_start)
+        config = RunConfig(a=0.0, n_cells=50, t_final=0.1)  # unit domain
+        for scheme in harness.SCHEMES:
+            got = harness.run_pair(replace(config, scheme=scheme)).l2err_sq
+            assert got == pytest.approx(d * d * 0.1, rel=1e-12)
+
+    def test_entropy_sandwich_in_time(self):
+        # linear flux: the weighted sum is the time integral of phi, and
+        # beta0/2 |w|^2 <= E(w) <= beta1/2 |w|^2 cell by cell
+        config = RunConfig(eps=1.0, lam=0.72, a=0.5, n_cells=30, t_final=0.02)
+        for scheme in harness.SCHEMES:
+            result = harness.run_pair(replace(config, scheme=scheme))
+            err, wgt = result.l2err_sq, result.weighted_err_sq
+            bounds = model.convexity_bounds(config.params())
+            assert err > 0.0
+            assert (2.0 / bounds.beta1) * wgt * (1 - 1e-12) <= err
+            assert err <= (2.0 / bounds.beta0) * wgt * (1 + 1e-12)
 
 
 class TestTheoremCheck:
@@ -343,7 +344,7 @@ class TestTheoremCheck:
                 kdxx += step.dt * grid.dx * float((dxx * dxx).sum())
                 hyp = schemes.rk4_hyperbolic_step(p, grid, hyp, step.dt)
                 lim = schemes.rk4_limit_step(p, grid, lim, step.dt)
-                sup_phi = max(sup_phi, diagnostics.phi_total(p, grid, hyp, lim))
+                sup_phi = max(sup_phi, weighted_error(p, grid, hyp, lim))
             budget = (kdv + 0.25 * p.lam**2 * grid.dx**2 * kdxx) * eps**4
             results[eps] = (sup_phi, budget)
             assert sup_phi <= budget  # the stability bound, per eps
@@ -381,13 +382,10 @@ class TestEntropyInequality:
             u = 1.0 + 0.5 * smooth_bump(grid.centers)
             v = model.equilibrium_v(p, grid, u) + 0.05 * smooth_bump(grid.centers, center=0.45)
             step = schemes.semi_discrete_dt(p, grid)
-            traj = schemes.integrate_semi_discrete(
-                p, grid,
-                HyperbolicState(u=u, v=v, t=0.0),
-                LimitState(ubar=u.copy(), vbar=model.equilibrium_v(p, grid, u), t=0.0),
-                p.t_final, step.dt,
-            )
-            report = diagnostics.entropy_inequality_check(p, grid, (h for h, _ in traj))
+            states = [HyperbolicState(u=u, v=v, t=0.0)]
+            for _ in range(step.n_steps):
+                states.append(schemes.rk4_hyperbolic_step(p, grid, states[-1], step.dt))
+            report = diagnostics.entropy_inequality_check(p, grid, states)
             slacks.append(report.max_slack)
         assert slacks[1] <= 0.75 * slacks[0]
 

@@ -1,7 +1,8 @@
 """Byte-identity of the output files against stored reference files.
 
 Each case is one ``jinxin`` command line.  Its reference outputs live in
-``tests/data/<case>/``, exactly as the command writes them.  The march must
+``tests/data/<case>/``, exactly as the command writes them; for the cases in
+``STDOUT`` the reference is the printed report, kept as ``stdout.txt``.  The march must
 reproduce them to the last bit: a one-ulp drift in any cell changes the
 17-digit CSV text.
 
@@ -46,15 +47,23 @@ CASES = {
         "run", "--scheme", "semi-discrete", "--eps", "0.5", "--nx", "48", "--tfinal", "0.01",
         "--record-every", "5",
     ],
+    # printed reports of the verify checks that march no run config
+    "verify_identity": ["verify", "--check", "identity"],
+    "verify_entropy_ineq": ["verify", "--check", "entropy-ineq"],
 }
+STDOUT = {"verify_identity", "verify_entropy_ineq"}
 
 
 def produce(case: str, out_dir: Path) -> None:
-    """Run one case into ``out_dir``; stdout is swallowed."""
-    with contextlib.redirect_stdout(io.StringIO()):
+    """Run one case into ``out_dir``; stdout is kept only for the ``STDOUT`` cases."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
         status = cli.main([*CASES[case], "--out-dir", str(out_dir)])
     if status != 0:
         raise RuntimeError(f"{case}: exit status {status}")
+    if case in STDOUT:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "stdout.txt").write_text(printed.getvalue())
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

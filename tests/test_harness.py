@@ -279,3 +279,15 @@ class TestConvergenceStudy:
         result = convergence_study(cfg, epsilons=(2.0, 1e-1, 5e-2))
         assert [eps for eps, _ in result.failures] == [2.0]
         assert result.epsilons == [1e-1, 5e-2]
+
+    def test_overflowing_point_is_recorded_as_a_failure(self):
+        # Riemann data near 1e153: the cells stay finite, but at eps = 0.1
+        # the squared errors summed over the cells overflow; the finer
+        # points stay finite
+        cfg = RunConfig(n_cells=64, well_prepared=True, u_left=2.5e153, u_right=1.25e153)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = convergence_study(cfg, epsilons=(1e-1, 2.5e-2, 1.25e-2))
+        assert [eps for eps, _ in result.failures] == [1e-1]
+        assert result.failures[0][1].startswith("non-finite error norms")
+        assert result.epsilons == [2.5e-2, 1.25e-2]
+        assert np.isfinite(result.errors).all() and np.isfinite(result.l2_errors).all()

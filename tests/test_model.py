@@ -246,11 +246,6 @@ class TestRiemannInitial:
         # zero initial relative entropy
         assert model.relative_entropy(base_params, u, v, ubar, vbar).sum() == 0.0
 
-    def test_boundary_states(self, base_params):
-        bs = model.boundary_states(base_params, 2.0, 1.0)
-        assert bs.left == (2.0, 1.0)
-        assert bs.right == (1.0, 0.5)
-
 
 def test_pad_edges_copies_ends():
     ext = model.pad_edges(np.array([3.0, 4.0, 5.0]))

@@ -18,31 +18,31 @@ class TestStepSizes:
     def test_cfl_formula_before_rounding(self):
         p = ModelParams(eps=1.0, lam=0.72, a=0.5, cfl=0.95, t_final=0.1)
         grid = Grid(n_cells=200)
-        raw = p.cfl * grid.dx / (2.0 * p.lam)
-        assert raw == pytest.approx(3.299e-3, abs=1e-6)
-        step = schemes.cfl_dt(p, grid)
+        raw = p.cfl * min(grid.dx / (2.0 * p.lam), grid.dx**2 / p.lam**2)
+        assert raw == pytest.approx(4.5814e-5, abs=1e-9)  # the diffusion number binds
+        step = schemes.marching_dt(p, grid)
         assert step.dt <= raw
         assert step.n_steps * step.dt == pytest.approx(p.t_final, rel=1e-12)
 
     def test_unit_example(self):
         p = ModelParams(eps=1.0, lam=1.0, a=0.0, cfl=1.0, t_final=1.0)
         grid = Grid(n_cells=10)
-        # raw dt = 1.0 * 0.1 / 2 = 0.05, divides T exactly
-        step = schemes.cfl_dt(p, grid)
-        assert step.dt == pytest.approx(0.05)
-        assert step.n_steps == 20
+        # raw dt = 1.0 * min(0.1 / 2, 0.1^2) = 0.01, divides T
+        step = schemes.marching_dt(p, grid)
+        assert step.dt == pytest.approx(0.01)
+        assert step.n_steps == 100
 
     def test_doubling_lam_halves_dt(self):
-        grid = Grid(n_cells=64)
-        dt1 = schemes.cfl_dt(ModelParams(eps=1.0, lam=1.0, t_final=1.0, cfl=1.0), grid)
-        dt2 = schemes.cfl_dt(ModelParams(eps=1.0, lam=2.0, t_final=1.0, cfl=1.0), grid)
+        # lam <= 2 dx: the convective bound dx / (2 lam) binds, and it halves
+        grid = Grid(n_cells=8)
+        dt1 = schemes.marching_dt(ModelParams(eps=1.0, lam=0.1, t_final=1.0, cfl=1.0), grid)
+        dt2 = schemes.marching_dt(ModelParams(eps=1.0, lam=0.2, t_final=1.0, cfl=1.0), grid)
         assert dt2.dt == pytest.approx(dt1.dt / 2)
 
-    @pytest.mark.parametrize("maker", [schemes.cfl_dt, schemes.marching_dt])
-    def test_independent_of_eps(self, maker):
+    def test_independent_of_eps(self):
         grid = Grid(n_cells=100)
         steps = {
-            maker(ModelParams(eps=eps, lam=0.72, a=0.5), grid)
+            schemes.marching_dt(ModelParams(eps=eps, lam=0.72, a=0.5), grid)
             for eps in (1.0, 0.1, 1e-4, 1e-8)
         }
         assert len(steps) == 1
@@ -53,7 +53,6 @@ class TestStepSizes:
         step = schemes.marching_dt(p, grid)
         assert step.dt * p.lam / grid.dx <= 0.5 * p.cfl + 1e-15
         assert step.dt * p.lam**2 / grid.dx**2 <= p.cfl * (1 + 1e-12)
-        assert step.dt <= schemes.cfl_dt(p, grid).dt * (1 + 1e-12)
 
     def test_semi_discrete_needs_positive_eps(self):
         with pytest.raises(ValueError):
@@ -62,12 +61,23 @@ class TestStepSizes:
 
 class TestHLLStep:
     def test_interface_flux_values(self):
+        # two flat states: the faces inside each carry (v, lam^2 u), the
+        # jump face F_u = (v_l + v_r)/2 - lam (u_r - u_l)/2,
+        # F_v = lam^2 (u_l + u_r)/2 - lam (v_r - v_l)/2
         p = ModelParams(eps=1.0, lam=0.72, a=0.5)
-        u = np.array([1.0, 1.0])
-        v = np.array([0.5, 0.5])
-        flux_u, flux_v = schemes.hll_fluxes(p, u, v)
-        assert flux_u[0] == pytest.approx(0.5)
-        assert flux_v[0] == pytest.approx(0.5184, abs=1e-12)
+        grid = Grid(n_cells=4)
+        state = HyperbolicState(
+            u=np.array([1.0, 1.0, 2.0, 2.0]), v=np.array([0.5, 0.5, 1.5, 1.5]), t=0.0
+        )
+        jump_u, jump_v = 1.0 - 0.36, 0.5184 * 1.5 - 0.36
+        dt = 0.025
+        out = schemes.hll_convection_step(p, grid, state, dt)
+        r = dt / grid.dx
+        assert out.u[[0, 3]].tolist() == [1.0, 2.0] and out.v[[0, 3]].tolist() == [0.5, 1.5]
+        assert out.u[1] == pytest.approx(1.0 - r * (jump_u - 0.5), abs=1e-12)
+        assert out.v[1] == pytest.approx(0.5 - r * (jump_v - 0.5184), abs=1e-12)
+        assert out.u[2] == pytest.approx(2.0 - r * (1.5 - jump_u), abs=1e-12)
+        assert out.v[2] == pytest.approx(1.5 - r * (0.5184 * 2.0 - jump_v), abs=1e-12)
 
     def test_constant_state_unchanged(self, base_params):
         grid = Grid(n_cells=30)
@@ -303,10 +313,10 @@ class TestIntegrator:
         hyp = constant_equilibrium(base_params, grid, 1.5)
         lim = LimitState(hyp.u.copy(), model.equilibrium_v(base_params, grid, hyp.u), 0.0)
         dt = schemes.semi_discrete_dt(base_params, grid).dt
-        t_final = 16 * dt
-        traj = schemes.integrate_semi_discrete(base_params, grid, hyp, lim, t_final, dt)
-        assert len(traj) == 17
-        for h, l in traj:
+        h, l = hyp, lim
+        for _ in range(16):
+            h = schemes.rk4_hyperbolic_step(base_params, grid, h, dt)
+            l = schemes.rk4_limit_step(base_params, grid, l, dt)
             assert np.array_equal(h.u, hyp.u)
             assert np.array_equal(h.v, hyp.v)
             assert np.array_equal(l.ubar, lim.ubar)
@@ -317,15 +327,10 @@ class TestIntegrator:
         u = 1.0 + 0.5 * smooth_bump(grid.centers, width=0.1)
         v = model.equilibrium_v(p, grid, u)
         step = schemes.semi_discrete_dt(p, grid)
-        traj = schemes.integrate_semi_discrete(
-            p, grid,
-            HyperbolicState(u.copy(), v.copy(), 0.0),
-            LimitState(u.copy(), v.copy(), 0.0),
-            p.t_final, step.dt,
-        )
-        hyp_mol = traj[-1][0]
+        hyp_mol = HyperbolicState(u.copy(), v.copy(), 0.0)
         hyp_jpt = HyperbolicState(u.copy(), v.copy(), 0.0)
         for _ in range(step.n_steps):
+            hyp_mol = schemes.rk4_hyperbolic_step(p, grid, hyp_mol, step.dt)
             hyp_jpt = schemes.jpt_step(p, grid, hyp_jpt, step.dt)
         gap = max(np.abs(hyp_mol.u - hyp_jpt.u).max(), np.abs(hyp_mol.v - hyp_jpt.v).max())
         # first-order splitting gap, measured ~15*dt; generous headroom
@@ -366,13 +371,6 @@ class TestIntegrator:
             state = schemes.rk4_hyperbolic_step(p, grid, state, dt)
         assert np.abs(state.u - state.u[::-1]).max() <= 1e-13
         assert np.abs(state.v + state.v[::-1]).max() <= 1e-13
-
-    def test_dt_must_divide_t_final(self, base_params):
-        grid = Grid(n_cells=20)
-        hyp = constant_equilibrium(base_params, grid, 1.0)
-        lim = LimitState(hyp.u.copy(), model.equilibrium_v(base_params, grid, hyp.u), 0.0)
-        with pytest.raises(ValueError):
-            schemes.integrate_semi_discrete(base_params, grid, hyp, lim, 1.0, 0.3)
 
 
 class TestPairMarch:
