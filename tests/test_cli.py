@@ -189,6 +189,18 @@ class TestExecution:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("u_left, message", [
+        ("1e308", "error: non-finite cell values: unstable step size or blow-up"),
+        ("1e200", "error: non-finite error norms: the squared errors overflow"),
+    ])
+    def test_semi_discrete_blow_up_is_one_error_line(self, u_left, message, tmp_path, capsys):
+        # 1e308: the RK4 stages overflow the cells; 1e200: the cells stay
+        # finite and the squares of their differences overflow
+        argv = ["run", "--scheme", "semi-discrete", "--u-left", u_left, "--nx", "40",
+                "--tfinal", "0.01", "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [message]
+
     def test_main_exit_status(self, tmp_path):
         assert cli.main(["run", "--eps", "0.5", "--nx", "32", "--tfinal", "0.01",
                          "--out-dir", str(tmp_path)]) == 0

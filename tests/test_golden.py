@@ -50,8 +50,11 @@ CASES = {
     # printed reports of the verify checks that march no run config
     "verify_identity": ["verify", "--check", "identity"],
     "verify_entropy_ineq": ["verify", "--check", "entropy-ineq"],
+    # printed reports of the verify checks that march semi-discrete runs
+    "verify_residuals": ["verify", "--check", "residuals"],
+    "verify_theorem": ["verify", "--check", "theorem"],
 }
-STDOUT = {"verify_identity", "verify_entropy_ineq"}
+STDOUT = {"verify_identity", "verify_entropy_ineq", "verify_residuals", "verify_theorem"}
 
 
 def produce(case: str, out_dir: Path) -> None:
