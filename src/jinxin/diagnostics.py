@@ -67,9 +67,23 @@ def discrete_re_flux(p: ModelParams, du_l, dv_l, du_r, dv_r):
     )
 
 
-def _dxx(grid: Grid, w: np.ndarray) -> np.ndarray:
-    ext = pad_edges(w)
-    return (ext[2:] - 2.0 * w + ext[:-2]) / grid.dx**2
+def _dxx(dx: float, ext: np.ndarray) -> np.ndarray:
+    """D_xx of a field given with one copy ghost per side."""
+    return (ext[2:] - 2.0 * ext[1:-1] + ext[:-2]) / dx**2
+
+
+def _residuals(p: ModelParams, dx: float, du_ext: np.ndarray, dv_ext: np.ndarray, dxx_vbar: np.ndarray):
+    if p.flux != LINEAR:
+        raise ValueError("entropy residuals are only explicit for the linear flux")
+    du, dv = du_ext[1:-1], dv_ext[1:-1]
+    dxx_du = _dxx(dx, du_ext)
+    dxx_dv = _dxx(dx, dv_ext)
+    half_dx = 0.5 * dx
+    r1 = p.lam**3 * half_dx * du * dxx_du
+    r2 = p.eps**2 * p.lam * half_dx * dv * dxx_dv
+    r3 = p.eps**2 * p.lam * half_dx * (dv - p.a * du) * dxx_vbar
+    r4 = -p.eps**2 * p.a * p.lam * half_dx * (dv * dxx_du + du * dxx_dv)
+    return r1, r2, r3, r4
 
 
 def residuals(p: ModelParams, grid: Grid, hyp: HyperbolicState, lim: LimitState):
@@ -80,18 +94,9 @@ def residuals(p: ModelParams, grid: Grid, hyp: HyperbolicState, lim: LimitState)
     R3: eps^2 lam/2 dx (dv - a du) D_xx(vbar)   (limit-curvature forcing)
     R4: -eps^2 a lam/2 dx [dv D_xx(du) + du D_xx(dv)]  (cross coupling)
     """
-    if p.flux != LINEAR:
-        raise ValueError("entropy residuals are only explicit for the linear flux")
-    du = hyp.u - lim.ubar
-    dv = hyp.v - lim.vbar
-    dxx_du = _dxx(grid, du)
-    dxx_dv = _dxx(grid, dv)
-    half_dx = 0.5 * grid.dx
-    r1 = p.lam**3 * half_dx * du * dxx_du
-    r2 = p.eps**2 * p.lam * half_dx * dv * dxx_dv
-    r3 = p.eps**2 * p.lam * half_dx * (dv - p.a * du) * _dxx(grid, lim.vbar)
-    r4 = -p.eps**2 * p.a * p.lam * half_dx * (dv * dxx_du + du * dxx_dv)
-    return r1, r2, r3, r4
+    du = pad_edges(hyp.u - lim.ubar)
+    dv = pad_edges(hyp.v - lim.vbar)
+    return _residuals(p, grid.dx, du, dv, _dxx(grid.dx, pad_edges(lim.vbar)))
 
 
 @dataclass
@@ -175,7 +180,6 @@ class ResidualIntegrals:
     """
 
     dx: float
-    t: list[float] = field(default_factory=list)
     int_r1: float = 0.0
     int_r2: float = 0.0
     int_r3: float = 0.0
@@ -186,11 +190,18 @@ class ResidualIntegrals:
     relax_sq: float = 0.0  # integral of dx-sum of (dv - a du)^2
     snapshots: list[tuple[float, ...]] = field(default_factory=list)
 
-    def add(self, p: ModelParams, grid: Grid, hyp: HyperbolicState, lim: LimitState, dt: float) -> None:
-        du = hyp.u - lim.ubar
-        dv = hyp.v - lim.vbar
-        r1, r2, r3, r4 = residuals(p, grid, hyp, lim)
+    def add(self, p: ModelParams, grid: Grid, block: np.ndarray, dt: float) -> None:
+        """Integrate over [t, t + dt] from the ghost-padded rows (u, v, ubar, vbar) at t.
+
+        ``block`` is laid out as a ``schemes.PairMarch`` block, whose limit
+        rows obey the closure.
+        """
         dx = grid.dx
+        du_ext = block[0] - block[2]
+        dv_ext = block[1] - block[3]
+        du, dv = du_ext[1:-1], dv_ext[1:-1]
+        dxx_vbar = _dxx(dx, block[3])
+        r1, r2, r3, r4 = _residuals(p, dx, du_ext, dv_ext, dxx_vbar)
         self.int_r1 += dt * dx * float(r1.sum())
         self.int_r2 += dt * dx * float(r2.sum())
         self.int_r3 += dt * dx * float(r3.sum())
@@ -202,25 +213,14 @@ class ResidualIntegrals:
         grad_dv = np.diff(dv) / dx
         self.norm_dx_du_sq += dt * dx * float((grad_du * grad_du).sum())
         self.norm_dx_dv_sq += dt * dx * float((grad_dv * grad_dv).sum())
-        dxx_vbar = _dxx(grid, lim.vbar)
         self.norm_dxx_vbar_sq += dt * dx * float((dxx_vbar * dxx_vbar).sum())
         relax = dv - p.a * du
         self.relax_sq += dt * dx * float((relax * relax).sum())
-        t_next = (self.t[-1] if self.t else hyp.t) + dt
-        self.t.append(t_next)
-        self.snapshots.append(
-            (
-                t_next,
-                self.int_r1,
-                self.int_r2,
-                self.int_r3,
-                self.int_r4,
-                self.norm_dx_du_sq,
-                self.norm_dx_dv_sq,
-                self.norm_dxx_vbar_sq,
-                self.relax_sq,
-            )
-        )
+        t_next = (self.snapshots[-1][0] if self.snapshots else 0.0) + dt
+        self.snapshots.append((
+            t_next, self.int_r1, self.int_r2, self.int_r3, self.int_r4,
+            self.norm_dx_du_sq, self.norm_dx_dv_sq, self.norm_dxx_vbar_sq, self.relax_sq,
+        ))
 
 
 @dataclass

@@ -218,22 +218,29 @@ def write_series(path: str | Path, series: ErrorSeries) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def run_pair(config: RunConfig, _k_norms: bool = True) -> RunResult:
-    """Advance both solutions to t_final, accumulating norms and budgets.
+ACCUMULATORS = ("errors", "phi", "k-norms", "entropy", "residuals", "mass")
+
+
+def run_pair(config: RunConfig, accumulate=ACCUMULATORS) -> RunResult:
+    """Advance both solutions to t_final, accumulating what ``accumulate`` names.
 
     The shared step comes from the scheme's stability rule and lands exactly
-    on t_final.  All space-time integrals use left-endpoint quadrature, the
-    same rule that defines the discrete L2(Q_t) norm.  Entropy budgets are
-    accumulated for the semi-discrete scheme with the linear flux.
+    on t_final; all space-time integrals use left-endpoint quadrature.  The
+    four fields live in one ``schemes.PairMarch`` block, advanced in place by
+    ``convect()`` and ``relax()`` (splitting) or ``rk4_step()`` (semi-discrete).
 
-    The four fields live in one ``schemes.PairMarch`` block: the splitting
-    scheme advances it in place, the semi-discrete RK4 steppers reload it.
-    ``_k_norms=False`` skips the two K-norm integrals (the rate study reads
-    only the error sums); the series then reports them as NaN.
+    The accumulators, all by default: the error sums ("errors"), phi at the
+    record points ("phi"), the K norms ("k-norms"), the entropy budgets at
+    the record points behind ``identity_rel_max`` ("entropy") and the
+    residual integrals ("residuals"), both for the semi-discrete scheme with
+    the linear flux, and the mass audit of the splitting scheme ("mass").
+    A series column not accumulated reads NaN, a result field None.
 
-    Raises ``InstabilityError`` when the cells or the accumulated sums stop
-    being finite.
+    Raises ``InstabilityError`` when the cells (checked at the record points
+    and at the end) or the accumulated sums stop being finite.
     """
+    if not set(accumulate) <= set(ACCUMULATORS):
+        raise ValueError(f"unknown accumulators in {accumulate!r}, expected some of {ACCUMULATORS}")
     config.validate()
     p = config.params()
     grid = config.grid()
@@ -250,17 +257,18 @@ def run_pair(config: RunConfig, _k_norms: bool = True) -> RunResult:
     u0, v0, ub0, vb0 = model.riemann_initial(
         p, grid, config.u_left, config.u_right, config.well_prepared
     )
-    hyp = HyperbolicState(u=u0, v=v0, t=0.0)
-    lim = LimitState(ubar=ub0, vbar=vb0, t=0.0)
 
     semi = config.scheme == SEMI_DISCRETE
+    linear_semi = semi and p.flux == model.LINEAR
+    errors, phi, k_norms = ("errors" in accumulate, "phi" in accumulate, "k-norms" in accumulate)
+    entropy = "entropy" in accumulate and linear_semi
+    mass = "mass" in accumulate and not semi
     step = schemes.semi_discrete_dt(p, grid) if semi else schemes.marching_dt(p, grid)
     dt, n_steps = step.dt, step.n_steps
-    march = schemes.PairMarch(p, grid, dt, u0, v0, ub0, vb0, curvature=_k_norms)
+    march = schemes.PairMarch(p, grid, dt, u0, v0, ub0, vb0, curvature=k_norms)
 
-    track_entropy = semi and p.flux == model.LINEAR
-    res_acc = ResidualIntegrals(dx=grid.dx) if track_entropy else None
-    identity_rel_max = 0.0 if track_entropy else None
+    res_acc = ResidualIntegrals(dx=grid.dx) if "residuals" in accumulate and linear_semi else None
+    identity_rel_max = 0.0 if entropy else None
 
     out_dir = Path(config.out_dir) if config.out_dir is not None else None
     if out_dir is not None:
@@ -272,22 +280,26 @@ def run_pair(config: RunConfig, _k_norms: bool = True) -> RunResult:
     wgt_rec: list[float] = []
     kdv_rec: list[float] = []
     kdxx_rec: list[float] = []
-    l2_sum = wgt_sum = 0.0
-    kdv_sum = kdxx_sum = 0.0 if _k_norms else math.nan
+    l2_sum = wgt_sum = 0.0 if errors else math.nan
+    kdv_sum = kdxx_sum = 0.0 if k_norms else math.nan
     boundary_inflow = 0.0
-    mass0 = grid.dx * float(hyp.u.sum())
     dx = grid.dx
-    t = 0.0  # the splitting march's clock
+    t = 0.0
 
-    def record(t_k: float, dump_tag: str | None) -> None:
+    def record(t_k: float, dump_tag: str) -> None:
+        nonlocal identity_rel_max
         t_rec.append(t_k)
-        phi_rec.append(diagnostics.weighted_error_total(p, grid, du, dv))
+        phi_rec.append(diagnostics.weighted_error_total(p, grid, du, dv) if phi else math.nan)
         l2_rec.append(l2_sum)
         wgt_rec.append(wgt_sum)
         kdv_rec.append(kdv_sum)
         kdxx_rec.append(kdxx_sum)
-        if out_dir is not None and dump_tag is not None:
-            write_profile(out_dir / f"profile_{dump_tag}.csv", grid, hyp, lim)
+        states = march.states(t) if out_dir is not None or entropy else None
+        if out_dir is not None:
+            write_profile(out_dir / f"profile_{dump_tag}.csv", grid, *states)
+        if entropy:
+            rel = diagnostics.entropy_budget(p, grid, *states).rel_mismatch_max
+            identity_rel_max = max(identity_rel_max, rel)
 
     lam2 = p.lam**2
     eps2 = p.eps**2
@@ -297,56 +309,50 @@ def run_pair(config: RunConfig, _k_norms: bool = True) -> RunResult:
     squares = np.empty((2, grid.n_cells))
 
     for k in range(n_steps):
-        np.subtract(march.relaxed, march.limit, out=diff)
-
         recording = k == 0 or (config.record_every > 0 and k % config.record_every == 0)
+        if errors or (recording and phi):
+            np.subtract(march.relaxed, march.limit, out=diff)
         if recording:
-            if not semi:
-                hyp, lim = march.states(t)
+            march.check_finite()
             record(k * dt, "initial" if k == 0 else f"{k:08d}")
-            if track_entropy:
-                rel = diagnostics.entropy_budget(p, grid, hyp, lim).rel_mismatch_max
-                identity_rel_max = max(identity_rel_max, rel)
 
-        # fused left-endpoint accumulation of the space-time integrals
-        du2, dv2 = np.multiply(diff, diff, out=squares).sum(axis=1).tolist()
-        cross = float(np.multiply(du, dv, out=squares[0]).sum()) if a_cross != 0.0 else 0.0
-        l2_sum += dt * dx * (du2 + dv2)
-        wgt_sum += dt * dx * (0.5 * lam2 * du2 + 0.5 * eps2 * dv2 - eps2 * a_cross * cross)
+        if errors:
+            # fused left-endpoint accumulation of the space-time integrals
+            du2, dv2 = np.multiply(diff, diff, out=squares).sum(axis=1).tolist()
+            cross = float(np.multiply(du, dv, out=squares[0]).sum()) if a_cross != 0.0 else 0.0
+            l2_sum += dt * dx * (du2 + dv2)
+            wgt_sum += dt * dx * (0.5 * lam2 * du2 + 0.5 * eps2 * dv2 - eps2 * a_cross * cross)
 
-        march.limit_rate()
-        if _k_norms:
+        if k_norms or not semi:
+            march.limit_rate()
+        if k_norms:
             k_fields = march.closure_rates()  # dvbar/dt and D_xx vbar
             kdv2, kdxx2 = np.multiply(k_fields, k_fields, out=k_fields).sum(axis=1).tolist()
             kdv_sum += dt * dx * kdv2
             kdxx_sum += dt * dx * kdxx2
 
         if res_acc is not None:
-            res_acc.add(p, grid, hyp, lim, dt)
+            res_acc.add(p, grid, march.block, dt)
 
         if semi:
-            hyp = schemes.rk4_hyperbolic_step(p, grid, hyp, dt)
-            lim = schemes.rk4_limit_step(p, grid, lim, dt)
-            march.load(hyp.u, hyp.v, lim.ubar, lim.vbar)
+            march.rk4_step()
         else:
-            # boundary HLL fluxes collapse to the edge v under copy ghosts
-            boundary_inflow += dt * (float(march.v[0]) - float(march.v[-1]))
+            if mass:
+                # boundary HLL fluxes collapse to the edge v under copy ghosts
+                boundary_inflow += dt * (float(march.v[0]) - float(march.v[-1]))
             march.convect()
             march.relax()
-            t += dt
+        t += dt
 
+    march.check_finite()
     # the cells stay finite while their squares overflow (u ~ 1e200)
-    sums = (l2_sum, wgt_sum, kdv_sum, kdxx_sum) if _k_norms else (l2_sum, wgt_sum)
+    sums = (l2_sum, wgt_sum) * errors + (kdv_sum, kdxx_sum) * k_norms
     if not all(math.isfinite(x) for x in sums):
         raise schemes.InstabilityError("non-finite error norms: the squared errors overflow")
 
     np.subtract(march.relaxed, march.limit, out=diff)
-    if not semi:
-        hyp, lim = march.states(t)
     record(p.t_final, "final")
-    if track_entropy:
-        rel = diagnostics.entropy_budget(p, grid, hyp, lim).rel_mismatch_max
-        identity_rel_max = max(identity_rel_max, rel)
+    hyp, lim = march.states(t)
 
     series = ErrorSeries(
         dx=dx,
@@ -360,13 +366,7 @@ def run_pair(config: RunConfig, _k_norms: bool = True) -> RunResult:
     if out_dir is not None:
         write_series(out_dir / "series.csv", series)
 
-    mass = None
-    if not semi:
-        mass = MassAudit(
-            mass_initial=mass0,
-            mass_final=dx * float(hyp.u.sum()),
-            boundary_inflow=boundary_inflow,
-        )
+    audit = MassAudit(dx * float(u0.sum()), dx * float(hyp.u.sum()), boundary_inflow) if mass else None
     return RunResult(
         config=config,
         grid=grid,
@@ -376,7 +376,7 @@ def run_pair(config: RunConfig, _k_norms: bool = True) -> RunResult:
         series=series,
         residual_integrals=res_acc,
         identity_rel_max=identity_rel_max,
-        mass=mass,
+        mass=audit,
     )
 
 
@@ -433,9 +433,13 @@ def convergence_study(config: RunConfig, epsilons=DEFAULT_EPS_SWEEP) -> StudyRes
     """Run the paired simulation per eps and fit the decay rate.
 
     Each eps gets the grid rule's resolution; failures are recorded and the
-    sweep continues.  Results are keyed by eps, in decreasing order.
+    sweep continues.  Results are keyed by eps, in decreasing order.  When
+    fewer than two points survive, the slope and intercept are NaN and the
+    failures say why.
     """
     sweep = sorted(set(float(e) for e in epsilons), reverse=True)
+    if len(sweep) < 2:
+        raise ValueError("rate fit needs at least two points")
     kept_eps: list[float] = []
     errors: list[float] = []
     l2_errors: list[float] = []
@@ -451,7 +455,7 @@ def convergence_study(config: RunConfig, epsilons=DEFAULT_EPS_SWEEP) -> StudyRes
         )
         try:
             run_cfg.validate()
-            result = run_pair(run_cfg, _k_norms=False)
+            result = run_pair(run_cfg, accumulate=("errors",))
         except (ConfigError, schemes.InstabilityError) as exc:
             failures.append((eps, str(exc)))
             continue
@@ -459,7 +463,9 @@ def convergence_study(config: RunConfig, epsilons=DEFAULT_EPS_SWEEP) -> StudyRes
         errors.append(result.weighted_err_sq)
         l2_errors.append(result.l2err_sq)
         cells.append(run_cfg.n_cells)
-    slope, intercept = fit_rate(zip(kept_eps, errors))
+    slope = intercept = math.nan
+    if len(kept_eps) >= 2:
+        slope, intercept = fit_rate(zip(kept_eps, errors))
     return StudyResult(
         epsilons=kept_eps,
         errors=errors,
@@ -546,7 +552,7 @@ def verify_identity(
 def verify_residuals(config: RunConfig) -> CheckOutcome:
     """Residual equalities and sign estimates along a semi-discrete run of ``config``."""
     run_cfg = replace(config, scheme=SEMI_DISCRETE, record_every=0, out_dir=None)
-    result = run_pair(run_cfg)
+    result = run_pair(run_cfg, accumulate=("residuals",))
     report = diagnostics.residual_sign_checks(result.residual_integrals, run_cfg.params())
     lines = [f"semi-discrete run at eps={run_cfg.eps:g}, {result.step.n_steps} steps"]
     return CheckOutcome(name="residuals", passed=report.all_ok, lines=lines + report.lines())
@@ -561,7 +567,7 @@ def verify_theorem(config: RunConfig, eps_values=(0.1, 0.05, 0.025)) -> CheckOut
             config, eps=eps, scheme=SEMI_DISCRETE, well_prepared=True,
             record_every=1, out_dir=None,
         )
-        result = run_pair(run_cfg)
+        result = run_pair(run_cfg, accumulate=("phi", "k-norms"))
         check = diagnostics.theorem_bound_check(result.series, run_cfg.params())
         ok = ok and check.satisfied
         lines.append(
@@ -571,13 +577,14 @@ def verify_theorem(config: RunConfig, eps_values=(0.1, 0.05, 0.025)) -> CheckOut
     return CheckOutcome(name="theorem", passed=ok, lines=lines)
 
 
-def _rk4_relaxed_states(p: ModelParams, grid: Grid, hyp: HyperbolicState):
-    """hyp, then each of its semi_discrete_dt(p, grid).n_steps RK4 successors."""
-    yield hyp
+def _rk4_relaxed_states(p: ModelParams, grid: Grid, u: np.ndarray, v: np.ndarray):
+    """(u, v) and its RK4 successors to t_final; the limit pair (u, its closure) goes unread."""
     step = schemes.semi_discrete_dt(p, grid)
-    for _ in range(step.n_steps):
-        hyp = schemes.rk4_hyperbolic_step(p, grid, hyp, step.dt)
-        yield hyp
+    march = schemes.PairMarch(p, grid, step.dt, u, v, u, model.equilibrium_v(p, grid, u))
+    yield march.states(0.0)[0]
+    for k in range(1, step.n_steps + 1):
+        march.rk4_step()
+        yield march.states(k * step.dt)[0]
 
 
 def verify_entropy_inequality(
@@ -596,9 +603,7 @@ def verify_entropy_inequality(
         x = grid.centers
         u = 1.0 + 0.5 * np.exp(-(((x - 0.5) / 0.08) ** 2))
         v = model.equilibrium_v(p, grid, u) + 0.05 * np.exp(-(((x - 0.45) / 0.1) ** 2))
-        report = diagnostics.entropy_inequality_check(
-            p, grid, _rk4_relaxed_states(p, grid, HyperbolicState(u=u, v=v, t=0.0))
-        )
+        report = diagnostics.entropy_inequality_check(p, grid, _rk4_relaxed_states(p, grid, u, v))
         slack.append(max(report.max_slack, 0.0))
     coarse, fine = slack
     shrinks = fine <= shrink_factor * coarse or fine <= 1e-14

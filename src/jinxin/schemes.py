@@ -17,14 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    Grid,
-    ModelParams,
-    equilibrium_v,
-    flux_derivative,
-    flux_eval,
-    pad_edges,
-)
+from .model import Grid, ModelParams, flux_derivative, flux_eval
 
 
 class InstabilityError(RuntimeError):
@@ -248,12 +241,57 @@ class _ClosureRate:
         return np.subtract(out, diffusive, out=out)
 
 
+class _PairRates:
+    """Method-of-lines rates of the ghost-padded pairs in ``rows``, into ``out``.
+
+    ``relaxed`` flags each pair: the relaxed pair (u, v), which comes first,
+    or the limit pair (ubar, vbar).  Terms are formed and summed as written:
+        du/dt = -(v_{i+1} - v_{i-1})/(2dx) + lam ((u_{i+1} - 2u_i) + u_{i-1})/(2dx)
+        dv/dt = -lam^2 (u_{i+1} - u_{i-1})/(2dx eps^2)
+                + lam ((v_{i+1} - 2v_i) + v_{i-1})/(2dx) + (f(u) - v)/eps^2
+    and dubar/dt as du/dt with vbar for v; the vbar row of ``out`` is scratch.
+    One ufunc call per operation serves all rows (the jumps of a pair swapped).
+    """
+
+    def __init__(self, p: ModelParams, dx: float, rows: np.ndarray, relaxed: tuple[bool, ...]) -> None:
+        n = rows.shape[1] - 2
+        self.east, self.center, self.west = rows[:, 2:], rows[:, 1:-1], rows[:, :-2]
+        self.jumps, self.first = np.empty((2, len(relaxed), 2, n))
+        self.swapped = self.jumps[:, ::-1]
+        self.second = np.empty((2 * len(relaxed), n))
+        self.lam, self.two_dx = p.lam, 2.0 * dx
+        self.coef = np.array([[[-1.0], [-p.lam**2 if r else 0.0]] for r in relaxed])
+        self.denom = np.array([[[2.0 * dx], [2.0 * dx * p.eps**2 if r else 2.0 * dx]] for r in relaxed])
+        self.relaxed = relaxed[0]
+        self.flux, self.a, self.eps2 = p.flux, p.a, p.eps**2
+        self.source = np.empty(n)
+
+    def __call__(self, out: np.ndarray) -> np.ndarray:
+        first, second = self.first, self.second
+        np.subtract(self.east, self.west, out=self.jumps.reshape(second.shape))
+        np.multiply(self.coef, self.swapped, out=first)
+        np.divide(first, self.denom, out=first)
+        np.multiply(2.0, self.center, out=second)
+        np.subtract(self.east, second, out=second)
+        np.add(second, self.west, out=second)
+        np.multiply(self.lam, second, out=second)
+        np.divide(second, self.two_dx, out=second)
+        np.add(first.reshape(second.shape), second, out=out)
+        if self.relaxed:
+            source = flux_eval(self.flux, self.a, self.center[0], out=self.source)
+            np.subtract(source, self.center[1], out=source)
+            np.divide(source, self.eps2, out=source)
+            np.add(out[1], source, out=out[1])
+        return out
+
+
 class PairMarch:
-    """The splitting pair and its eps -> 0 limit, marched in place side by side.
+    """The relaxed pair and its eps -> 0 limit, marched in place side by side.
 
     u, v, ubar and vbar are the rows of one float64 block of shape (4, n+2),
     each with one copy ghost per side; the attributes ``u``, ``v``, ``ubar``
-    and ``vbar`` view their cells.  One step of the shared dt is
+    and ``vbar`` view their cells.  Two steppers share the block and the dt.
+    One step of the splitting scheme is
 
         limit_rate()  dubar/dt of the current limit pair
         convect()     explicit half: HLL convection of (u, v), then the
@@ -261,7 +299,9 @@ class PairMarch:
         relax()       implicit half: one centered gradient of (u, ubar)
                       gives the relaxation target of v and the closure vbar
 
-    and allocates nothing.  With ``curvature`` the march also serves
+    and one step of the semi-discrete scheme is ``rk4_step()``: classical
+    RK4 of both method-of-lines pairs, vbar re-closed after every stage.
+    Neither allocates.  With ``curvature`` the march also serves
     ``closure_rates()``, the fields behind the K norms.
     """
 
@@ -292,6 +332,10 @@ class PairMarch:
             )
             self._vbar_second = self._rate.second[1]
             self._dx2 = grid.dx * grid.dx
+        self._stage = stage = np.empty_like(block)
+        self._k = np.empty((4, 4, n))
+        self._rates = [_PairRates(p, grid.dx, b, (True, False)) for b in (block, stage)]
+        self._closures = [_Closure(p, grid.dx, b[2:3], (p.lam**2,), b[3:, 1:-1]) for b in (block, stage)]
 
     def limit_rate(self) -> np.ndarray:
         """dubar/dt of the current limit pair, as used by the next convect()."""
@@ -313,6 +357,35 @@ class PairMarch:
         np.copyto(self.vbar, self._closed_vbar)
         _refresh_ghosts(self.block)
 
+    def rk4_step(self) -> None:
+        """Classical RK4 step of both method-of-lines pairs, vbar re-closed per stage.
+
+        Stages y0 + (dt/2) k and y0 + dt k, then y0 + (((k1 + 2 k2) + 2 k3) + k4) dt/6.
+        """
+        k, y0, y = self._k, self.block[:, 1:-1], self._stage[:, 1:-1]
+        self._rates[0](k[0])
+        for i, h in enumerate((0.5 * self._dt, 0.5 * self._dt, self._dt)):
+            np.multiply(h, k[i], out=y)
+            np.add(y0, y, out=y)
+            self._close(self._stage, self._closures[1])
+            self._rates[1](k[i + 1])
+        np.multiply(2.0, k[1:3], out=k[1:3])
+        for i in (1, 2, 3):
+            np.add(k[0], k[i], out=k[0])
+        np.multiply(self._dt / 6.0, k[0], out=k[0])
+        np.add(y0, k[0], out=y0)
+        self._close(self.block, self._closures[0])
+
+    @staticmethod
+    def _close(block: np.ndarray, closure: _Closure) -> None:
+        _refresh_ghosts(block)
+        closure()
+        _refresh_ghosts(block[3])
+
+    def check_finite(self) -> None:
+        """Raise ``InstabilityError`` unless every cell is finite."""
+        _check_finite(self.block)
+
     def closure_rates(self) -> np.ndarray:
         """Rows dvbar/dt and D_xx vbar of the current limit pair, after limit_rate().
 
@@ -326,11 +399,6 @@ class PairMarch:
         """Copies of the current pairs, stamped with time t."""
         u, v, ubar, vbar = self.block[:, 1:-1].copy()
         return HyperbolicState(u=u, v=v, t=t), LimitState(ubar=ubar, vbar=vbar, t=t)
-
-    def load(self, u: np.ndarray, v: np.ndarray, ubar: np.ndarray, vbar: np.ndarray) -> None:
-        """Overwrite the four fields, for a pair advanced by another stepper."""
-        self.block[:, 1:-1] = (u, v, ubar, vbar)
-        _refresh_ghosts(self.block)
 
 
 def hll_convection_step(p: ModelParams, grid: Grid, state: HyperbolicState, dt: float) -> HyperbolicState:
@@ -380,38 +448,14 @@ def limit_step(p: ModelParams, grid: Grid, state: LimitState, dt: float) -> Limi
     return LimitState(ubar=ubar, vbar=vbar[0], t=state.t + dt)
 
 
-def _hyperbolic_rhs_arrays(p: ModelParams, grid: Grid, u: np.ndarray, v: np.ndarray):
-    ue = pad_edges(u)
-    ve = pad_edges(v)
-    two_dx = 2.0 * grid.dx
-    du_dt = -(ve[2:] - ve[:-2]) / two_dx + p.lam * (ue[2:] - 2.0 * u + ue[:-2]) / two_dx
-    dv_dt = (
-        -p.lam**2 * (ue[2:] - ue[:-2]) / (two_dx * p.eps**2)
-        + p.lam * (ve[2:] - 2.0 * v + ve[:-2]) / two_dx
-        + (flux_eval(p.flux, p.a, u) - v) / p.eps**2
-    )
-    return du_dt, dv_dt
+def semi_discrete_rhs(p: ModelParams, grid: Grid, state: HyperbolicState) -> np.ndarray:
+    """Method-of-lines right-hand side of the relaxed system: rows du/dt and dv/dt.
 
-
-def semi_discrete_rhs(p: ModelParams, grid: Grid, state: HyperbolicState):
-    """Method-of-lines right-hand side of the relaxed system (HLL fluxes).
-
-    du_i/dt = -(v_{i+1}-v_{i-1})/(2dx) + lam (u_{i+1}-2u_i+u_{i-1})/(2dx)
-    dv_i/dt = -lam^2 (u_{i+1}-u_{i-1})/(2 eps^2 dx)
-              + lam (v_{i+1}-2v_i+v_{i-1})/(2dx) + (f(u_i)-v_i)/eps^2
-    with copy-ghost closure.
+    The HLL stencils of ``_PairRates``, with copy-ghost closure.
     """
     if p.eps <= 0:
         raise ValueError("the semi-discrete relaxed system requires eps > 0")
-    return _hyperbolic_rhs_arrays(p, grid, state.u, state.v)
-
-
-def _limit_ubar_rhs(p: ModelParams, grid: Grid, ubar: np.ndarray) -> np.ndarray:
-    vbar = equilibrium_v(p, grid, ubar)
-    ue = pad_edges(ubar)
-    ve = pad_edges(vbar)
-    two_dx = 2.0 * grid.dx
-    return -(ve[2:] - ve[:-2]) / two_dx + p.lam * (ue[2:] - 2.0 * ubar + ue[:-2]) / two_dx
+    return _PairRates(p, grid.dx, _padded(state.u, state.v), (True,))(np.empty((2, grid.n_cells)))
 
 
 ALGEBRAIC_TOL = 1e-12
@@ -424,36 +468,13 @@ def limit_semi_discrete_rhs(p: ModelParams, grid: Grid, state: LimitState):
     by differentiating the closure through dubar/dt (chain rule, no time
     differencing), which keeps the discrete entropy identity exact.
     """
-    gap = np.abs(state.vbar - equilibrium_v(p, grid, state.ubar)).max()
+    block = _padded(state.ubar, state.ubar)
+    _Closure(p, grid.dx, block[:1], (p.lam**2,), block[1:, 1:-1])()
+    gap = np.abs(state.vbar - block[1, 1:-1]).max()
     if gap > ALGEBRAIC_TOL:
         raise ValueError(f"limit state violates the algebraic closure by {gap:.3e}")
-    dubar_dt = _limit_ubar_rhs(p, grid, state.ubar)
-    rate = _padded(dubar_dt)[0]
-    dvbar_dt = _ClosureRate(p, grid.dx, state.ubar, rate, np.empty(grid.n_cells))()
+    _refresh_ghosts(block)
+    rate = np.empty((2, grid.n_cells + 2))
+    dubar_dt = _PairRates(p, grid.dx, block, (False,))(rate[:, 1:-1])[0]
+    dvbar_dt = _ClosureRate(p, grid.dx, block[0, 1:-1], rate[0], np.empty(grid.n_cells))()
     return dubar_dt, dvbar_dt
-
-
-def rk4_hyperbolic_step(p: ModelParams, grid: Grid, state: HyperbolicState, dt: float) -> HyperbolicState:
-    """Classical RK4 step of the relaxed method-of-lines system."""
-    u0, v0 = state.u, state.v
-    k1u, k1v = _hyperbolic_rhs_arrays(p, grid, u0, v0)
-    k2u, k2v = _hyperbolic_rhs_arrays(p, grid, u0 + 0.5 * dt * k1u, v0 + 0.5 * dt * k1v)
-    k3u, k3v = _hyperbolic_rhs_arrays(p, grid, u0 + 0.5 * dt * k2u, v0 + 0.5 * dt * k2v)
-    k4u, k4v = _hyperbolic_rhs_arrays(p, grid, u0 + dt * k3u, v0 + dt * k3v)
-    sixth = dt / 6.0
-    u = u0 + sixth * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-    v = v0 + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    _check_finite(u, v)
-    return HyperbolicState(u=u, v=v, t=state.t + dt)
-
-
-def rk4_limit_step(p: ModelParams, grid: Grid, state: LimitState, dt: float) -> LimitState:
-    """Classical RK4 step of the limit system; vbar re-closed per stage."""
-    y0 = state.ubar
-    k1 = _limit_ubar_rhs(p, grid, y0)
-    k2 = _limit_ubar_rhs(p, grid, y0 + 0.5 * dt * k1)
-    k3 = _limit_ubar_rhs(p, grid, y0 + 0.5 * dt * k2)
-    k4 = _limit_ubar_rhs(p, grid, y0 + dt * k3)
-    ubar = y0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    _check_finite(ubar)
-    return LimitState(ubar=ubar, vbar=equilibrium_v(p, grid, ubar), t=state.t + dt)

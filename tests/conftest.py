@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from jinxin import model, schemes
 from jinxin.model import Grid, ModelParams
 
 
@@ -23,3 +24,12 @@ def rng() -> np.random.Generator:
 def smooth_bump(x: np.ndarray, center: float = 0.5, width: float = 0.08) -> np.ndarray:
     """Gaussian bump, numerically flat at the domain ends."""
     return np.exp(-(((x - center) / width) ** 2))
+
+
+def rk4_march(p: ModelParams, grid: Grid, dt: float, u, v, ubar=None) -> schemes.PairMarch:
+    """A march for RK4 steps of (u, v) and of the limit pair (ubar, its closure).
+
+    ubar defaults to u; the two pairs do not interact.
+    """
+    ubar = u if ubar is None else ubar
+    return schemes.PairMarch(p, grid, dt, u, v, ubar, model.equilibrium_v(p, grid, ubar))

@@ -134,6 +134,16 @@ class TestExecution:
         assert lines[-1].startswith("# intercept=")
         assert "slope=" in capsys.readouterr().out
 
+    def test_study_without_a_rate_still_reports_its_failures(self, tmp_path, capsys):
+        argv = ["study", "--u-left", "1e160", "--u-right", "0", "--eps-list", "1e-1,5e-2",
+                "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == 1
+        out = capsys.readouterr().out
+        assert [line.split()[0] for line in out.splitlines() if "FAILED:" in line] == [
+            "eps=0.1", "eps=0.05"]
+        lines = (tmp_path / "study.csv").read_text().splitlines()
+        assert lines == ["eps,n_cells,l2err_sq", "# slope=nan", "# intercept=nan"]
+
     def test_verify_identity_passes(self, capsys):
         cmd = parse_args(["verify", "--check", "identity"])
         assert execute(cmd) == 0

@@ -9,7 +9,7 @@ from jinxin.harness import RunConfig
 from jinxin.model import Grid, ModelParams
 from jinxin.schemes import HyperbolicState, LimitState
 
-from conftest import smooth_bump
+from conftest import rk4_march, smooth_bump
 
 
 def random_smooth(rng, x, scale=1.0):
@@ -20,6 +20,11 @@ def random_smooth(rng, x, scale=1.0):
     for k in range(1, 5):
         out += rng.normal(scale=scale / k) * np.sin(np.pi * k * xi) * window
     return out
+
+
+def ghost_padded(hyp, lim):
+    """The rows (u, v, ubar, vbar), each with a copy ghost per side."""
+    return np.array([model.pad_edges(w) for w in (hyp.u, hyp.v, lim.ubar, lim.vbar)])
 
 
 def weighted_error(p, grid, hyp, lim):
@@ -206,14 +211,12 @@ class TestResidualChecks:
         p = ModelParams(eps=eps, lam=0.72, a=0.5, t_final=t_final)
         grid = Grid(n_cells=n_cells)
         u, v, ub, vb = model.riemann_initial(p, grid, 2.0, 1.0)
-        hyp = HyperbolicState(u, v, 0.0)
-        lim = LimitState(ub, vb, 0.0)
         step = schemes.semi_discrete_dt(p, grid)
+        march = schemes.PairMarch(p, grid, step.dt, u, v, ub, vb)
         acc = ResidualIntegrals(dx=grid.dx)
         for _ in range(step.n_steps):
-            acc.add(p, grid, hyp, lim, step.dt)
-            hyp = schemes.rk4_hyperbolic_step(p, grid, hyp, step.dt)
-            lim = schemes.rk4_limit_step(p, grid, lim, step.dt)
+            acc.add(p, grid, march.block, step.dt)
+            march.rk4_step()
         return p, acc
 
     def test_estimates_along_trajectory(self):
@@ -233,7 +236,7 @@ class TestResidualChecks:
         lim = LimitState(ubar=ubar, vbar=model.equilibrium_v(base_params, grid, ubar), t=0.0)
         hyp = HyperbolicState(u=ubar.copy(), v=lim.vbar.copy(), t=0.0)
         for _ in range(3):
-            acc.add(base_params, grid, hyp, lim, 0.01)
+            acc.add(base_params, grid, ghost_padded(hyp, lim), 0.01)
         report = diagnostics.residual_sign_checks(acc, base_params)
         assert report.all_ok
         assert acc.int_r1 == 0.0 and acc.int_r2 == 0.0
@@ -332,19 +335,18 @@ class TestTheoremCheck:
             x = grid.centers
             u = 1.5 - 0.5 * np.tanh((x - 0.5) / 0.05)
             vb = model.equilibrium_v(p, grid, u)
-            hyp = HyperbolicState(u.copy(), vb.copy(), 0.0)
-            lim = LimitState(u.copy(), vb.copy(), 0.0)
             step = schemes.semi_discrete_dt(p, grid)
+            march = rk4_march(p, grid, step.dt, u, vb)
             sup_phi, kdv, kdxx = 0.0, 0.0, 0.0
             for _ in range(step.n_steps):
+                _, lim = march.states(0.0)
                 _, dvdt = schemes.limit_semi_discrete_rhs(p, grid, lim)
                 kdv += step.dt * grid.dx * float((dvdt * dvdt).sum())
                 ext = model.pad_edges(lim.vbar)
                 dxx = (ext[2:] - 2 * lim.vbar + ext[:-2]) / grid.dx**2
                 kdxx += step.dt * grid.dx * float((dxx * dxx).sum())
-                hyp = schemes.rk4_hyperbolic_step(p, grid, hyp, step.dt)
-                lim = schemes.rk4_limit_step(p, grid, lim, step.dt)
-                sup_phi = max(sup_phi, weighted_error(p, grid, hyp, lim))
+                march.rk4_step()
+                sup_phi = max(sup_phi, weighted_error(p, grid, *march.states(0.0)))
             budget = (kdv + 0.25 * p.lam**2 * grid.dx**2 * kdxx) * eps**4
             results[eps] = (sup_phi, budget)
             assert sup_phi <= budget  # the stability bound, per eps
@@ -382,9 +384,11 @@ class TestEntropyInequality:
             u = 1.0 + 0.5 * smooth_bump(grid.centers)
             v = model.equilibrium_v(p, grid, u) + 0.05 * smooth_bump(grid.centers, center=0.45)
             step = schemes.semi_discrete_dt(p, grid)
+            march = rk4_march(p, grid, step.dt, u, v)
             states = [HyperbolicState(u=u, v=v, t=0.0)]
             for _ in range(step.n_steps):
-                states.append(schemes.rk4_hyperbolic_step(p, grid, states[-1], step.dt))
+                march.rk4_step()
+                states.append(march.states(0.0)[0])
             report = diagnostics.entropy_inequality_check(p, grid, states)
             slacks.append(report.max_slack)
         assert slacks[1] <= 0.75 * slacks[0]

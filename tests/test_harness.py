@@ -180,6 +180,40 @@ class TestRunPair:
         assert result.mass.boundary_inflow == pytest.approx(0.05, rel=1e-10)
         assert abs(result.mass.defect) <= 1e-12
 
+    def test_unknown_accumulator_rejected(self):
+        with pytest.raises(ValueError, match="unknown accumulators"):
+            run_pair(RunConfig(n_cells=40, t_final=0.01), accumulate=("errors", "entropy-law"))
+
+    @pytest.mark.parametrize("scheme", ["jpt", "semi-discrete"])
+    def test_each_accumulator_is_opt_in(self, scheme):
+        cfg = RunConfig(eps=0.5, n_cells=40, t_final=0.01, scheme=scheme, record_every=7)
+        full = run_pair(cfg)
+        columns = {
+            "errors": ("l2err_sq", "weighted_sq"),
+            "phi": ("phi",),
+            "k-norms": ("k_dvbar_sq", "k_dxxvbar_sq"),
+        }
+        for name, cols in columns.items():
+            part = run_pair(cfg, accumulate=(name,))
+            for col in ("phi", "l2err_sq", "weighted_sq", "k_dvbar_sq", "k_dxxvbar_sq"):
+                got, expected = getattr(part.series, col), getattr(full.series, col)
+                if col in cols:
+                    assert np.array_equal(got, expected), (name, col)
+                else:
+                    assert np.isnan(got).all(), (name, col)
+            assert part.residual_integrals is None
+            assert part.identity_rel_max is None
+            assert part.mass is None
+            assert np.array_equal(part.series.t, full.series.t)
+            assert np.array_equal(part.hyp.u, full.hyp.u) and np.array_equal(part.lim.vbar, full.lim.vbar)
+        audits = run_pair(cfg, accumulate=("entropy", "residuals", "mass"))
+        assert audits.identity_rel_max == full.identity_rel_max
+        assert audits.mass == full.mass
+        if scheme == "jpt":
+            assert audits.residual_integrals is None and full.residual_integrals is None
+        else:
+            assert audits.residual_integrals.snapshots == full.residual_integrals.snapshots
+
     def test_boundary_warning_trigger_is_exact(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -279,6 +313,21 @@ class TestConvergenceStudy:
         result = convergence_study(cfg, epsilons=(2.0, 1e-1, 5e-2))
         assert [eps for eps, _ in result.failures] == [2.0]
         assert result.epsilons == [1e-1, 5e-2]
+
+    def test_too_few_surviving_points_keep_their_failures(self):
+        # at eps = 0.1 the squared errors overflow, so one point is left:
+        # no rate, but the kept row and the failure both survive
+        cfg = RunConfig(n_cells=64, well_prepared=True, u_left=2.5e153, u_right=1.25e153)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = convergence_study(cfg, epsilons=(1e-1, 2.5e-2))
+        assert [eps for eps, _ in result.failures] == [1e-1]
+        assert result.failures[0][1].startswith("non-finite error norms")
+        assert result.epsilons == [2.5e-2] and result.n_cells_used == [64]
+        assert math.isnan(result.slope) and math.isnan(result.intercept)
+
+    def test_a_single_eps_is_refused_before_marching(self):
+        with pytest.raises(ValueError, match="at least two points"):
+            convergence_study(RunConfig(n_cells=64), epsilons=(1e-1, 1e-1))
 
     def test_overflowing_point_is_recorded_as_a_failure(self):
         # Riemann data near 1e153: the cells stay finite, but at eps = 0.1

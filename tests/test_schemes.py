@@ -5,7 +5,7 @@ from jinxin import model, schemes
 from jinxin.model import Grid, ModelParams
 from jinxin.schemes import HyperbolicState, LimitState
 
-from conftest import smooth_bump
+from conftest import rk4_march, smooth_bump
 
 
 def constant_equilibrium(p, grid, c):
@@ -294,8 +294,11 @@ class TestLimitSemiDiscreteRhs:
         scale = np.abs(dvdt).max()
 
         def centered_gap(dt):
-            mid = schemes.rk4_limit_step(p, grid, lim0, dt)
-            ahead = schemes.rk4_limit_step(p, grid, mid, dt)
+            march = rk4_march(p, grid, dt, ubar, lim0.vbar, ubar)
+            march.rk4_step()
+            _, mid = march.states(dt)
+            march.rk4_step()
+            _, ahead = march.states(2 * dt)
             _, dmid = schemes.limit_semi_discrete_rhs(p, grid, mid)
             fd = (ahead.vbar - lim0.vbar) / (2 * dt)
             return np.abs(fd - dmid).max()
@@ -313,13 +316,12 @@ class TestIntegrator:
         hyp = constant_equilibrium(base_params, grid, 1.5)
         lim = LimitState(hyp.u.copy(), model.equilibrium_v(base_params, grid, hyp.u), 0.0)
         dt = schemes.semi_discrete_dt(base_params, grid).dt
-        h, l = hyp, lim
+        march = rk4_march(base_params, grid, dt, hyp.u, hyp.v, lim.ubar)
         for _ in range(16):
-            h = schemes.rk4_hyperbolic_step(base_params, grid, h, dt)
-            l = schemes.rk4_limit_step(base_params, grid, l, dt)
-            assert np.array_equal(h.u, hyp.u)
-            assert np.array_equal(h.v, hyp.v)
-            assert np.array_equal(l.ubar, lim.ubar)
+            march.rk4_step()
+            assert np.array_equal(march.u, hyp.u)
+            assert np.array_equal(march.v, hyp.v)
+            assert np.array_equal(march.ubar, lim.ubar)
 
     def test_matches_splitting_scheme_within_splitting_error(self):
         p = ModelParams(eps=1.0, lam=0.72, a=0.5, t_final=0.05)
@@ -327,10 +329,10 @@ class TestIntegrator:
         u = 1.0 + 0.5 * smooth_bump(grid.centers, width=0.1)
         v = model.equilibrium_v(p, grid, u)
         step = schemes.semi_discrete_dt(p, grid)
-        hyp_mol = HyperbolicState(u.copy(), v.copy(), 0.0)
+        hyp_mol = rk4_march(p, grid, step.dt, u, v)
         hyp_jpt = HyperbolicState(u.copy(), v.copy(), 0.0)
         for _ in range(step.n_steps):
-            hyp_mol = schemes.rk4_hyperbolic_step(p, grid, hyp_mol, step.dt)
+            hyp_mol.rk4_step()
             hyp_jpt = schemes.jpt_step(p, grid, hyp_jpt, step.dt)
         gap = max(np.abs(hyp_mol.u - hyp_jpt.u).max(), np.abs(hyp_mol.v - hyp_jpt.v).max())
         # first-order splitting gap, measured ~15*dt; generous headroom
@@ -343,10 +345,10 @@ class TestIntegrator:
         v = np.asarray(model.flux_eval(p.flux, p.a, u))
 
         def final(dt):
-            state = HyperbolicState(u.copy(), v.copy(), 0.0)
+            march = rk4_march(p, grid, dt, u, v)
             for _ in range(round(p.t_final / dt)):
-                state = schemes.rk4_hyperbolic_step(p, grid, state, dt)
-            return state
+                march.rk4_step()
+            return march
 
         dt = schemes.semi_discrete_dt(p, grid).dt
         ref = final(dt / 8)
@@ -365,12 +367,38 @@ class TestIntegrator:
         x = grid.centers
         u = 1.0 + smooth_bump(x, width=0.05)
         v = (x - 0.5) * smooth_bump(x, width=0.05)
-        state = HyperbolicState(u, v, 0.0)
-        dt = schemes.semi_discrete_dt(p, grid).dt
+        state = rk4_march(p, grid, schemes.semi_discrete_dt(p, grid).dt, u, v)
         for _ in range(40):
-            state = schemes.rk4_hyperbolic_step(p, grid, state, dt)
+            state.rk4_step()
         assert np.abs(state.u - state.u[::-1]).max() <= 1e-13
         assert np.abs(state.v + state.v[::-1]).max() <= 1e-13
+
+
+def textbook_rk4(p, grid, y0, dt):
+    """One RK4 step of the rows (u, v, ubar), written out with pad_edges.
+
+    The stencils, the stages and their sum in the order of the formulas;
+    vbar is the closure of ubar at every stage.
+    """
+    two_dx = 2.0 * grid.dx
+
+    def rates(u, v, ubar):
+        ue, ve = model.pad_edges(u), model.pad_edges(v)
+        be, ce = model.pad_edges(ubar), model.pad_edges(model.equilibrium_v(p, grid, ubar))
+        du = -(ve[2:] - ve[:-2]) / two_dx + p.lam * (ue[2:] - 2.0 * u + ue[:-2]) / two_dx
+        dv = (
+            -p.lam**2 * (ue[2:] - ue[:-2]) / (two_dx * p.eps**2)
+            + p.lam * (ve[2:] - 2.0 * v + ve[:-2]) / two_dx
+            + (model.flux_eval(p.flux, p.a, u) - v) / p.eps**2
+        )
+        dub = -(ce[2:] - ce[:-2]) / two_dx + p.lam * (be[2:] - 2.0 * ubar + be[:-2]) / two_dx
+        return np.array([du, dv, dub])
+
+    k1 = rates(*y0)
+    k2 = rates(*(y0 + 0.5 * dt * k1))
+    k3 = rates(*(y0 + 0.5 * dt * k2))
+    k4 = rates(*(y0 + dt * k3))
+    return y0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 class TestPairMarch:
@@ -391,6 +419,22 @@ class TestPairMarch:
         for marched, stepped in zip((march.u, march.v, march.ubar, march.vbar),
                                     (hyp.u, hyp.v, lim.ubar, lim.vbar)):
             assert np.array_equal(marched, stepped)
+        assert march.block[:, 0].tolist() == march.block[:, 1].tolist()  # copy ghosts
+        assert march.block[:, -1].tolist() == march.block[:, -2].tolist()
+
+    @pytest.mark.parametrize("flux, lam", [("linear", 0.72), ("burgers", 3.0)])
+    def test_rk4_step_keeps_the_textbook_order_bit_for_bit(self, flux, lam):
+        p = ModelParams(eps=0.1, lam=lam, a=0.5, flux=flux)
+        grid = Grid(n_cells=40)
+        u, v, ub, vb = model.riemann_initial(p, grid, 2.0, 1.0)
+        dt = schemes.semi_discrete_dt(p, grid).dt
+        march = schemes.PairMarch(p, grid, dt, u, v, ub, vb)
+        y = np.array([u, v, ub])
+        for _ in range(30):
+            march.rk4_step()
+            y = textbook_rk4(p, grid, y, dt)
+        assert np.array_equal(march.block[:3, 1:-1], y)
+        assert np.array_equal(march.vbar, model.equilibrium_v(p, grid, march.ubar))
         assert march.block[:, 0].tolist() == march.block[:, 1].tolist()  # copy ghosts
         assert march.block[:, -1].tolist() == march.block[:, -2].tolist()
 
