@@ -329,12 +329,12 @@ class TestIntegrator:
         u = 1.0 + 0.5 * smooth_bump(grid.centers, width=0.1)
         v = model.equilibrium_v(p, grid, u)
         step = schemes.semi_discrete_dt(p, grid)
-        hyp_mol = rk4_march(p, grid, step.dt, u, v)
+        mol = rk4_march(p, grid, step.dt, u, v)
         hyp_jpt = HyperbolicState(u.copy(), v.copy(), 0.0)
         for _ in range(step.n_steps):
-            hyp_mol.rk4_step()
+            mol.rk4_step()
             hyp_jpt = schemes.jpt_step(p, grid, hyp_jpt, step.dt)
-        gap = max(np.abs(hyp_mol.u - hyp_jpt.u).max(), np.abs(hyp_mol.v - hyp_jpt.v).max())
+        gap = max(np.abs(mol.u - hyp_jpt.u).max(), np.abs(mol.v - hyp_jpt.v).max())
         # first-order splitting gap, measured ~15*dt; generous headroom
         assert gap <= 50 * step.dt
 
@@ -367,11 +367,11 @@ class TestIntegrator:
         x = grid.centers
         u = 1.0 + smooth_bump(x, width=0.05)
         v = (x - 0.5) * smooth_bump(x, width=0.05)
-        state = rk4_march(p, grid, schemes.semi_discrete_dt(p, grid).dt, u, v)
+        march = rk4_march(p, grid, schemes.semi_discrete_dt(p, grid).dt, u, v)
         for _ in range(40):
-            state.rk4_step()
-        assert np.abs(state.u - state.u[::-1]).max() <= 1e-13
-        assert np.abs(state.v + state.v[::-1]).max() <= 1e-13
+            march.rk4_step()
+        assert np.abs(march.u - march.u[::-1]).max() <= 1e-13
+        assert np.abs(march.v + march.v[::-1]).max() <= 1e-13
 
 
 def textbook_rk4(p, grid, y0, dt):
