@@ -191,11 +191,7 @@ class ResidualIntegrals:
     snapshots: list[tuple[float, ...]] = field(default_factory=list)
 
     def add(self, p: ModelParams, grid: Grid, block: np.ndarray, dt: float) -> None:
-        """Integrate over [t, t + dt] from the ghost-padded rows (u, v, ubar, vbar) at t.
-
-        ``block`` is laid out as a ``schemes.PairMarch`` block, whose limit
-        rows obey the closure.
-        """
+        """Integrate over [t, t + dt] from a ``schemes.PairMarch`` block (u, v, ubar, vbar) at t."""
         dx = grid.dx
         du_ext = block[0] - block[2]
         dv_ext = block[1] - block[3]
@@ -217,10 +213,19 @@ class ResidualIntegrals:
         relax = dv - p.a * du
         self.relax_sq += dt * dx * float((relax * relax).sum())
         t_next = (self.snapshots[-1][0] if self.snapshots else 0.0) + dt
-        self.snapshots.append((
-            t_next, self.int_r1, self.int_r2, self.int_r3, self.int_r4,
-            self.norm_dx_du_sq, self.norm_dx_dv_sq, self.norm_dxx_vbar_sq, self.relax_sq,
-        ))
+        self.snapshots.append(
+            (
+                t_next,
+                self.int_r1,
+                self.int_r2,
+                self.int_r3,
+                self.int_r4,
+                self.norm_dx_du_sq,
+                self.norm_dx_dv_sq,
+                self.norm_dxx_vbar_sq,
+                self.relax_sq,
+            )
+        )
 
 
 @dataclass

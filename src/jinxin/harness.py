@@ -218,23 +218,25 @@ def write_series(path: str | Path, series: ErrorSeries) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-ACCUMULATORS = ("errors", "phi", "k-norms", "entropy", "residuals", "mass")
+ACCUMULATORS = ("k-norms", "entropy", "residuals")
 
 
 def run_pair(config: RunConfig, accumulate=ACCUMULATORS) -> RunResult:
-    """Advance both solutions to t_final, accumulating what ``accumulate`` names.
+    """Advance both solutions to t_final, accumulating norms and budgets.
 
     The shared step comes from the scheme's stability rule and lands exactly
-    on t_final; all space-time integrals use left-endpoint quadrature.  The
-    four fields live in one ``schemes.PairMarch`` block, advanced in place by
-    ``convect()`` and ``relax()`` (splitting) or ``rk4_step()`` (semi-discrete).
+    on t_final.  All space-time integrals use left-endpoint quadrature, the
+    same rule that defines the discrete L2(Q_t) norm.  The four fields live
+    in one ``schemes.PairMarch`` block, advanced in place by ``convect()``
+    and ``relax()`` (splitting) or by ``rk4_step()`` (semi-discrete).
 
-    The accumulators, all by default: the error sums ("errors"), phi at the
-    record points ("phi"), the K norms ("k-norms"), the entropy budgets at
-    the record points behind ``identity_rel_max`` ("entropy") and the
-    residual integrals ("residuals"), both for the semi-discrete scheme with
-    the linear flux, and the mass audit of the splitting scheme ("mass").
-    A series column not accumulated reads NaN, a result field None.
+    Every run accumulates the error sums and phi at the record points, and
+    the splitting scheme the mass audit.  ``accumulate`` names the costly
+    extras, all by default: the K norms ("k-norms"), and for the
+    semi-discrete scheme with the linear flux the entropy budgets at the
+    record points behind ``identity_rel_max`` ("entropy") and the residual
+    integrals ("residuals").  K norms not asked for read NaN in the series,
+    the other two None in the result.
 
     Raises ``InstabilityError`` when the cells (checked at the record points
     and at the end) or the accumulated sums stop being finite.
@@ -260,9 +262,8 @@ def run_pair(config: RunConfig, accumulate=ACCUMULATORS) -> RunResult:
 
     semi = config.scheme == SEMI_DISCRETE
     linear_semi = semi and p.flux == model.LINEAR
-    errors, phi, k_norms = ("errors" in accumulate, "phi" in accumulate, "k-norms" in accumulate)
+    k_norms = "k-norms" in accumulate
     entropy = "entropy" in accumulate and linear_semi
-    mass = "mass" in accumulate and not semi
     step = schemes.semi_discrete_dt(p, grid) if semi else schemes.marching_dt(p, grid)
     dt, n_steps = step.dt, step.n_steps
     march = schemes.PairMarch(p, grid, dt, u0, v0, ub0, vb0, curvature=k_norms)
@@ -280,16 +281,17 @@ def run_pair(config: RunConfig, accumulate=ACCUMULATORS) -> RunResult:
     wgt_rec: list[float] = []
     kdv_rec: list[float] = []
     kdxx_rec: list[float] = []
-    l2_sum = wgt_sum = 0.0 if errors else math.nan
+    l2_sum = wgt_sum = 0.0
     kdv_sum = kdxx_sum = 0.0 if k_norms else math.nan
     boundary_inflow = 0.0
+    mass0 = grid.dx * float(u0.sum())
     dx = grid.dx
     t = 0.0
 
     def record(t_k: float, dump_tag: str) -> None:
         nonlocal identity_rel_max
         t_rec.append(t_k)
-        phi_rec.append(diagnostics.weighted_error_total(p, grid, du, dv) if phi else math.nan)
+        phi_rec.append(diagnostics.weighted_error_total(p, grid, du, dv))
         l2_rec.append(l2_sum)
         wgt_rec.append(wgt_sum)
         kdv_rec.append(kdv_sum)
@@ -309,19 +311,17 @@ def run_pair(config: RunConfig, accumulate=ACCUMULATORS) -> RunResult:
     squares = np.empty((2, grid.n_cells))
 
     for k in range(n_steps):
-        recording = k == 0 or (config.record_every > 0 and k % config.record_every == 0)
-        if errors or (recording and phi):
-            np.subtract(march.relaxed, march.limit, out=diff)
-        if recording:
+        np.subtract(march.relaxed, march.limit, out=diff)
+
+        if k == 0 or (config.record_every > 0 and k % config.record_every == 0):
             march.check_finite()
             record(k * dt, "initial" if k == 0 else f"{k:08d}")
 
-        if errors:
-            # fused left-endpoint accumulation of the space-time integrals
-            du2, dv2 = np.multiply(diff, diff, out=squares).sum(axis=1).tolist()
-            cross = float(np.multiply(du, dv, out=squares[0]).sum()) if a_cross != 0.0 else 0.0
-            l2_sum += dt * dx * (du2 + dv2)
-            wgt_sum += dt * dx * (0.5 * lam2 * du2 + 0.5 * eps2 * dv2 - eps2 * a_cross * cross)
+        # fused left-endpoint accumulation of the space-time integrals
+        du2, dv2 = np.multiply(diff, diff, out=squares).sum(axis=1).tolist()
+        cross = float(np.multiply(du, dv, out=squares[0]).sum()) if a_cross != 0.0 else 0.0
+        l2_sum += dt * dx * (du2 + dv2)
+        wgt_sum += dt * dx * (0.5 * lam2 * du2 + 0.5 * eps2 * dv2 - eps2 * a_cross * cross)
 
         if k_norms or not semi:
             march.limit_rate()
@@ -337,16 +337,15 @@ def run_pair(config: RunConfig, accumulate=ACCUMULATORS) -> RunResult:
         if semi:
             march.rk4_step()
         else:
-            if mass:
-                # boundary HLL fluxes collapse to the edge v under copy ghosts
-                boundary_inflow += dt * (float(march.v[0]) - float(march.v[-1]))
+            # boundary HLL fluxes collapse to the edge v under copy ghosts
+            boundary_inflow += dt * (float(march.v[0]) - float(march.v[-1]))
             march.convect()
             march.relax()
         t += dt
 
     march.check_finite()
     # the cells stay finite while their squares overflow (u ~ 1e200)
-    sums = (l2_sum, wgt_sum) * errors + (kdv_sum, kdxx_sum) * k_norms
+    sums = (l2_sum, wgt_sum, kdv_sum, kdxx_sum) if k_norms else (l2_sum, wgt_sum)
     if not all(math.isfinite(x) for x in sums):
         raise schemes.InstabilityError("non-finite error norms: the squared errors overflow")
 
@@ -366,7 +365,13 @@ def run_pair(config: RunConfig, accumulate=ACCUMULATORS) -> RunResult:
     if out_dir is not None:
         write_series(out_dir / "series.csv", series)
 
-    audit = MassAudit(dx * float(u0.sum()), dx * float(hyp.u.sum()), boundary_inflow) if mass else None
+    mass = None
+    if not semi:
+        mass = MassAudit(
+            mass_initial=mass0,
+            mass_final=dx * float(hyp.u.sum()),
+            boundary_inflow=boundary_inflow,
+        )
     return RunResult(
         config=config,
         grid=grid,
@@ -376,7 +381,7 @@ def run_pair(config: RunConfig, accumulate=ACCUMULATORS) -> RunResult:
         series=series,
         residual_integrals=res_acc,
         identity_rel_max=identity_rel_max,
-        mass=audit,
+        mass=mass,
     )
 
 
@@ -455,7 +460,7 @@ def convergence_study(config: RunConfig, epsilons=DEFAULT_EPS_SWEEP) -> StudyRes
         )
         try:
             run_cfg.validate()
-            result = run_pair(run_cfg, accumulate=("errors",))
+            result = run_pair(run_cfg, accumulate=())
         except (ConfigError, schemes.InstabilityError) as exc:
             failures.append((eps, str(exc)))
             continue
@@ -567,7 +572,7 @@ def verify_theorem(config: RunConfig, eps_values=(0.1, 0.05, 0.025)) -> CheckOut
             config, eps=eps, scheme=SEMI_DISCRETE, well_prepared=True,
             record_every=1, out_dir=None,
         )
-        result = run_pair(run_cfg, accumulate=("phi", "k-norms"))
+        result = run_pair(run_cfg, accumulate=("k-norms",))
         check = diagnostics.theorem_bound_check(result.series, run_cfg.params())
         ok = ok and check.satisfied
         lines.append(

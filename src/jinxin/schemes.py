@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Grid, ModelParams, flux_derivative, flux_eval
+from .model import Grid, ModelParams, equilibrium_v, flux_derivative, flux_eval
 
 
 class InstabilityError(RuntimeError):
@@ -249,16 +249,20 @@ class _PairRates:
         du/dt = -(v_{i+1} - v_{i-1})/(2dx) + lam ((u_{i+1} - 2u_i) + u_{i-1})/(2dx)
         dv/dt = -lam^2 (u_{i+1} - u_{i-1})/(2dx eps^2)
                 + lam ((v_{i+1} - 2v_i) + v_{i-1})/(2dx) + (f(u) - v)/eps^2
-    and dubar/dt as du/dt with vbar for v; the vbar row of ``out`` is scratch.
+    and dubar/dt as du/dt with vbar for v.  ``out`` holds the rates of the
+    rows before vbar: the limit pair has no row of its own for dvbar/dt.
     One ufunc call per operation serves all rows (the jumps of a pair swapped).
     """
 
     def __init__(self, p: ModelParams, dx: float, rows: np.ndarray, relaxed: tuple[bool, ...]) -> None:
         n = rows.shape[1] - 2
-        self.east, self.center, self.west = rows[:, 2:], rows[:, 1:-1], rows[:, :-2]
+        n_rates = 2 * len(relaxed) - (not relaxed[-1])
+        self.jump_ends = rows[:, 2:], rows[:, :-2]
+        self.east, self.center, self.west = rows[:n_rates, 2:], rows[:n_rates, 1:-1], rows[:n_rates, :-2]
         self.jumps, self.first = np.empty((2, len(relaxed), 2, n))
-        self.swapped = self.jumps[:, ::-1]
-        self.second = np.empty((2 * len(relaxed), n))
+        self.flat_jumps, self.swapped = self.jumps.reshape(-1, n), self.jumps[:, ::-1]
+        self.first_rates = self.first.reshape(-1, n)[:n_rates]
+        self.second = np.empty((n_rates, n))
         self.lam, self.two_dx = p.lam, 2.0 * dx
         self.coef = np.array([[[-1.0], [-p.lam**2 if r else 0.0]] for r in relaxed])
         self.denom = np.array([[[2.0 * dx], [2.0 * dx * p.eps**2 if r else 2.0 * dx]] for r in relaxed])
@@ -268,7 +272,7 @@ class _PairRates:
 
     def __call__(self, out: np.ndarray) -> np.ndarray:
         first, second = self.first, self.second
-        np.subtract(self.east, self.west, out=self.jumps.reshape(second.shape))
+        np.subtract(*self.jump_ends, out=self.flat_jumps)
         np.multiply(self.coef, self.swapped, out=first)
         np.divide(first, self.denom, out=first)
         np.multiply(2.0, self.center, out=second)
@@ -276,7 +280,7 @@ class _PairRates:
         np.add(second, self.west, out=second)
         np.multiply(self.lam, second, out=second)
         np.divide(second, self.two_dx, out=second)
-        np.add(first.reshape(second.shape), second, out=out)
+        np.add(self.first_rates, second, out=out)
         if self.relaxed:
             source = flux_eval(self.flux, self.a, self.center[0], out=self.source)
             np.subtract(source, self.center[1], out=source)
@@ -333,7 +337,7 @@ class PairMarch:
             self._vbar_second = self._rate.second[1]
             self._dx2 = grid.dx * grid.dx
         self._stage = stage = np.empty_like(block)
-        self._k = np.empty((4, 4, n))
+        self._k = np.empty((4, 3, n))  # RK4 rates of u, v and ubar
         self._rates = [_PairRates(p, grid.dx, b, (True, False)) for b in (block, stage)]
         self._closures = [_Closure(p, grid.dx, b[2:3], (p.lam**2,), b[3:, 1:-1]) for b in (block, stage)]
 
@@ -362,7 +366,7 @@ class PairMarch:
 
         Stages y0 + (dt/2) k and y0 + dt k, then y0 + (((k1 + 2 k2) + 2 k3) + k4) dt/6.
         """
-        k, y0, y = self._k, self.block[:, 1:-1], self._stage[:, 1:-1]
+        k, y0, y = self._k, self.block[:3, 1:-1], self._stage[:3, 1:-1]
         self._rates[0](k[0])
         for i, h in enumerate((0.5 * self._dt, 0.5 * self._dt, self._dt)):
             np.multiply(h, k[i], out=y)
@@ -378,7 +382,7 @@ class PairMarch:
 
     @staticmethod
     def _close(block: np.ndarray, closure: _Closure) -> None:
-        _refresh_ghosts(block)
+        _refresh_ghosts(block[:3])
         closure()
         _refresh_ghosts(block[3])
 
@@ -468,13 +472,12 @@ def limit_semi_discrete_rhs(p: ModelParams, grid: Grid, state: LimitState):
     by differentiating the closure through dubar/dt (chain rule, no time
     differencing), which keeps the discrete entropy identity exact.
     """
-    block = _padded(state.ubar, state.ubar)
-    _Closure(p, grid.dx, block[:1], (p.lam**2,), block[1:, 1:-1])()
-    gap = np.abs(state.vbar - block[1, 1:-1]).max()
+    vbar = equilibrium_v(p, grid, state.ubar)
+    gap = np.abs(state.vbar - vbar).max()
     if gap > ALGEBRAIC_TOL:
         raise ValueError(f"limit state violates the algebraic closure by {gap:.3e}")
-    _refresh_ghosts(block)
-    rate = np.empty((2, grid.n_cells + 2))
+    block = _padded(state.ubar, vbar)
+    rate = np.empty((1, grid.n_cells + 2))
     dubar_dt = _PairRates(p, grid.dx, block, (False,))(rate[:, 1:-1])[0]
     dvbar_dt = _ClosureRate(p, grid.dx, block[0, 1:-1], rate[0], np.empty(grid.n_cells))()
     return dubar_dt, dvbar_dt

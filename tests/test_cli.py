@@ -211,6 +211,14 @@ class TestExecution:
         assert cli.main(argv) == 1
         assert capsys.readouterr().err.splitlines() == [message]
 
+    def test_overflowing_residual_run_is_an_error(self, capsys):
+        # the residual integrals overflow with the error sums; no verdict is printed
+        argv = ["verify", "--check", "residuals", "--u-left", "1e200", "--nx", "40", "--tfinal", "0.01"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert captured.err.splitlines() == ["error: non-finite error norms: the squared errors overflow"]
+
     def test_main_exit_status(self, tmp_path):
         assert cli.main(["run", "--eps", "0.5", "--nx", "32", "--tfinal", "0.01",
                          "--out-dir", str(tmp_path)]) == 0

@@ -182,37 +182,36 @@ class TestRunPair:
 
     def test_unknown_accumulator_rejected(self):
         with pytest.raises(ValueError, match="unknown accumulators"):
-            run_pair(RunConfig(n_cells=40, t_final=0.01), accumulate=("errors", "entropy-law"))
+            run_pair(RunConfig(n_cells=40, t_final=0.01), accumulate=("k-norms", "errors"))
 
     @pytest.mark.parametrize("scheme", ["jpt", "semi-discrete"])
     def test_each_accumulator_is_opt_in(self, scheme):
         cfg = RunConfig(eps=0.5, n_cells=40, t_final=0.01, scheme=scheme, record_every=7)
         full = run_pair(cfg)
-        columns = {
-            "errors": ("l2err_sq", "weighted_sq"),
-            "phi": ("phi",),
-            "k-norms": ("k_dvbar_sq", "k_dxxvbar_sq"),
-        }
-        for name, cols in columns.items():
-            part = run_pair(cfg, accumulate=(name,))
-            for col in ("phi", "l2err_sq", "weighted_sq", "k_dvbar_sq", "k_dxxvbar_sq"):
+        for asked in ((), ("k-norms",), ("entropy",), ("residuals",)):
+            part = run_pair(cfg, accumulate=asked)
+            for col in ("t", "phi", "l2err_sq", "weighted_sq"):
+                assert np.array_equal(getattr(part.series, col), getattr(full.series, col)), (asked, col)
+            for col in ("k_dvbar_sq", "k_dxxvbar_sq"):
                 got, expected = getattr(part.series, col), getattr(full.series, col)
-                if col in cols:
-                    assert np.array_equal(got, expected), (name, col)
+                if asked == ("k-norms",):
+                    assert np.array_equal(got, expected), (asked, col)
                 else:
-                    assert np.isnan(got).all(), (name, col)
-            assert part.residual_integrals is None
-            assert part.identity_rel_max is None
-            assert part.mass is None
-            assert np.array_equal(part.series.t, full.series.t)
+                    assert np.isnan(got).all(), (asked, col)
+            if asked == ("entropy",):
+                assert part.identity_rel_max == full.identity_rel_max
+            else:
+                assert part.identity_rel_max is None
+            if asked == ("residuals",) and scheme == "semi-discrete":
+                assert part.residual_integrals.snapshots == full.residual_integrals.snapshots
+            else:
+                assert part.residual_integrals is None
+            assert part.mass == full.mass
             assert np.array_equal(part.hyp.u, full.hyp.u) and np.array_equal(part.lim.vbar, full.lim.vbar)
-        audits = run_pair(cfg, accumulate=("entropy", "residuals", "mass"))
-        assert audits.identity_rel_max == full.identity_rel_max
-        assert audits.mass == full.mass
         if scheme == "jpt":
-            assert audits.residual_integrals is None and full.residual_integrals is None
+            assert full.identity_rel_max is None and full.mass is not None
         else:
-            assert audits.residual_integrals.snapshots == full.residual_integrals.snapshots
+            assert full.identity_rel_max is not None and full.mass is None
 
     def test_boundary_warning_trigger_is_exact(self):
         with warnings.catch_warnings():
