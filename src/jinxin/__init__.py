@@ -30,12 +30,8 @@ from .schemes import (
     InstabilityError,
     LimitState,
     StepSize,
-    hll_convection_step,
-    jpt_step,
     limit_semi_discrete_rhs,
-    limit_step,
     marching_dt,
-    relaxation_step,
     semi_discrete_dt,
     semi_discrete_rhs,
 )

@@ -238,8 +238,9 @@ def run_pair(config: RunConfig, accumulate=ACCUMULATORS) -> RunResult:
     integrals ("residuals").  K norms not asked for read NaN in the series,
     the other two None in the result.
 
-    Raises ``InstabilityError`` when the cells (checked at the record points
-    and at the end) or the accumulated sums stop being finite.
+    Raises ``InstabilityError`` when the cells or the accumulated sums stop
+    being finite.  No step checks the cells: both schemes run
+    ``march.check_finite()`` at the record points and at the end only.
     """
     if not set(accumulate) <= set(ACCUMULATORS):
         raise ValueError(f"unknown accumulators in {accumulate!r}, expected some of {ACCUMULATORS}")
@@ -556,6 +557,8 @@ def verify_identity(
 
 def verify_residuals(config: RunConfig) -> CheckOutcome:
     """Residual equalities and sign estimates along a semi-discrete run of ``config``."""
+    if config.flux != model.LINEAR:
+        raise ConfigError(f"the residual check needs the linear flux, not {config.flux!r}")
     run_cfg = replace(config, scheme=SEMI_DISCRETE, record_every=0, out_dir=None)
     result = run_pair(run_cfg, accumulate=("residuals",))
     report = diagnostics.residual_sign_checks(result.residual_integrals, run_cfg.params())

@@ -1,6 +1,7 @@
 """Time advancement: splitting scheme, its eps->0 limit, and the semi-discrete systems.
 
-Two families are provided on the same uniform grid and HLL space operator:
+Two families are provided on the same uniform grid and HLL space operator,
+both marched in place by ``PairMarch``:
 
 * a fully discrete 2-step splitting (explicit HLL convection at the frozen
   wave speeds +-lam, then a closed-form implicit relaxation solve), whose
@@ -8,6 +9,11 @@ Two families are provided on the same uniform grid and HLL space operator:
 * the method-of-lines systems (continuous in time) for both the relaxed and
   the limiting equations, integrated with classical RK4 for the entropy
   diagnostics.
+
+No step checks its cells.  The kernels only add, subtract, multiply and
+divide by constants, so a NaN or inf never turns finite again, and
+``PairMarch.check_finite()`` at the caller's record points and at the end
+catches every blow-up.
 """
 
 from __future__ import annotations
@@ -88,12 +94,6 @@ def semi_discrete_dt(p: ModelParams, grid: Grid) -> StepSize:
     return _land_on_t_final(dt_raw, p.t_final)
 
 
-def _check_finite(*fields: np.ndarray) -> None:
-    for w in fields:
-        if not np.isfinite(w).all():
-            raise InstabilityError("non-finite cell values: unstable step size or blow-up")
-
-
 def _padded(*rows) -> np.ndarray:
     """Stack cell fields into one float64 block with a copy ghost at each end."""
     block = np.empty((len(rows), len(rows[0]) + 2))
@@ -140,7 +140,6 @@ class _HLLConvection:
         np.subtract(self.east, self.west, out=self.change)
         np.multiply(dt_dx, self.change, out=self.change)
         np.subtract(self.cells, self.change, out=self.cells)
-        _check_finite(self.cells)
 
 
 class _Closure:
@@ -169,7 +168,8 @@ class _Closure:
 
 
 def _relax(v: np.ndarray, target: np.ndarray, weight: float, scratch: np.ndarray) -> None:
-    # v <- target + w (v - target), in place; this form keeps equilibria exact
+    # v <- target + w (v - target), in place; this form keeps equilibria exact,
+    # and w = eps^2/(eps^2 + dt) = 0 at eps = 0 lands v on the limit closure
     np.subtract(v, target, out=scratch)
     np.multiply(weight, scratch, out=scratch)
     np.add(target, scratch, out=v)
@@ -305,8 +305,9 @@ class PairMarch:
 
     and one step of the semi-discrete scheme is ``rk4_step()``: classical
     RK4 of both method-of-lines pairs, vbar re-closed after every stage.
-    Neither allocates.  With ``curvature`` the march also serves
-    ``closure_rates()``, the fields behind the K norms.
+    Neither allocates nor checks finiteness: that is ``check_finite()``, for
+    the caller to run where it reads the cells.  With ``curvature`` the march
+    also serves ``closure_rates()``, the fields behind the K norms.
     """
 
     def __init__(
@@ -350,8 +351,6 @@ class PairMarch:
         self._hll.step(self._dt_dx)
         np.multiply(self._dt, self._rate.rate, out=self._scratch)
         np.add(self.ubar, self._scratch, out=self.ubar)
-        if not np.isfinite(self.ubar).all():
-            raise InstabilityError("non-finite limit state during march")
         _refresh_ghosts(self.block)
 
     def relax(self) -> None:
@@ -388,7 +387,8 @@ class PairMarch:
 
     def check_finite(self) -> None:
         """Raise ``InstabilityError`` unless every cell is finite."""
-        _check_finite(self.block)
+        if not np.isfinite(self.block).all():
+            raise InstabilityError("non-finite cell values: unstable step size or blow-up")
 
     def closure_rates(self) -> np.ndarray:
         """Rows dvbar/dt and D_xx vbar of the current limit pair, after limit_rate().
@@ -403,53 +403,6 @@ class PairMarch:
         """Copies of the current pairs, stamped with time t."""
         u, v, ubar, vbar = self.block[:, 1:-1].copy()
         return HyperbolicState(u=u, v=v, t=t), LimitState(ubar=ubar, vbar=vbar, t=t)
-
-
-def hll_convection_step(p: ModelParams, grid: Grid, state: HyperbolicState, dt: float) -> HyperbolicState:
-    """Conservative update with the HLL fluxes (the non-stiff half step)."""
-    block = _padded(state.u, state.v)
-    _HLLConvection(p, block).step(dt / grid.dx)
-    u, v = block[:, 1:-1]
-    return HyperbolicState(u=u, v=v, t=state.t)
-
-
-def relaxation_step(p: ModelParams, grid: Grid, half: HyperbolicState, dt: float) -> HyperbolicState:
-    """Closed-form implicit solve of the stiff source; u is untouched.
-
-    v^+ = w v + (1-w) [f(u) - (1-eps^2) lam^2 du/dx],  w = eps^2/(eps^2+dt),
-    written as target + w*(v - target) so equilibrium states are exact fixed
-    points in floating point.  Well defined down to eps = 0, where it lands
-    on the discrete closure of the limit scheme.
-    """
-    target = np.empty((1, grid.n_cells))
-    _Closure(p, grid.dx, _padded(half.u), ((1.0 - p.eps**2) * p.lam**2,), target)()
-    v = np.array(half.v, dtype=float)
-    _relax(v, target[0], p.eps**2 / (p.eps**2 + dt), np.empty_like(v))
-    return HyperbolicState(u=half.u, v=v, t=half.t)
-
-
-def jpt_step(p: ModelParams, grid: Grid, state: HyperbolicState, dt: float) -> HyperbolicState:
-    """One full splitting step: HLL convection then implicit relaxation."""
-    half = hll_convection_step(p, grid, state, dt)
-    out = relaxation_step(p, grid, half, dt)
-    out.t = state.t + dt
-    return out
-
-
-def limit_step(p: ModelParams, grid: Grid, state: LimitState, dt: float) -> LimitState:
-    """Explicit step of the limit scheme (the eps -> 0 splitting step).
-
-    ubar += dt dubar/dt, with the centered vbar flux plus the lam-viscosity
-    of the HLL operator; vbar then re-closed algebraically.
-    """
-    block = _padded(state.ubar, state.vbar)
-    ubar = block[0, 1:-1]
-    ubar += dt * _LimitRate(p, grid.dx, block)()
-    _check_finite(ubar)
-    _refresh_ghosts(block)
-    vbar = np.empty((1, grid.n_cells))
-    _Closure(p, grid.dx, block[:1], (p.lam**2,), vbar)()
-    return LimitState(ubar=ubar, vbar=vbar[0], t=state.t + dt)
 
 
 def semi_discrete_rhs(p: ModelParams, grid: Grid, state: HyperbolicState) -> np.ndarray:

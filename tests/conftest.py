@@ -26,10 +26,19 @@ def smooth_bump(x: np.ndarray, center: float = 0.5, width: float = 0.08) -> np.n
     return np.exp(-(((x - center) / width) ** 2))
 
 
-def rk4_march(p: ModelParams, grid: Grid, dt: float, u, v, ubar=None) -> schemes.PairMarch:
-    """A march for RK4 steps of (u, v) and of the limit pair (ubar, its closure).
+def pair_march(p: ModelParams, grid: Grid, dt: float, u, v, ubar=None) -> schemes.PairMarch:
+    """A march of (u, v) and of the limit pair (ubar, its closure), for either scheme.
 
     ubar defaults to u; the two pairs do not interact.
     """
     ubar = u if ubar is None else ubar
     return schemes.PairMarch(p, grid, dt, u, v, ubar, model.equilibrium_v(p, grid, ubar))
+
+
+def split_steps(march: schemes.PairMarch, n: int = 1) -> schemes.PairMarch:
+    """n splitting steps of both pairs, in the order ``harness.run_pair`` takes them."""
+    for _ in range(n):
+        march.limit_rate()
+        march.convect()
+        march.relax()
+    return march

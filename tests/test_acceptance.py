@@ -11,7 +11,8 @@ import pytest
 from jinxin import diagnostics, harness, model, schemes
 from jinxin.harness import RunConfig
 from jinxin.model import Grid, ModelParams
-from jinxin.schemes import HyperbolicState, LimitState
+
+from conftest import split_steps
 
 RESULTS: list[str] = []
 
@@ -103,10 +104,9 @@ def test_ac7_asymptotic_consistency_single_step():
     grid = Grid(n_cells=200)
     u, v, ub, vb = model.riemann_initial(p, grid, 2.0, 1.0, well_prepared=True)
     dt = schemes.marching_dt(p, grid).dt
-    hyp = schemes.jpt_step(p, grid, HyperbolicState(u, v, 0.0), dt)
-    lim = schemes.limit_step(p, grid, LimitState(ub, vb, 0.0), dt)
-    rel_u = float(np.abs(hyp.u - lim.ubar).max() / np.abs(lim.ubar).max())
-    rel_v = float(np.abs(hyp.v - lim.vbar).max() / np.abs(lim.vbar).max())
+    march = split_steps(schemes.PairMarch(p, grid, dt, u, v, ub, vb))
+    rel_u = float(np.abs(march.u - march.ubar).max() / np.abs(march.ubar).max())
+    rel_v = float(np.abs(march.v - march.vbar).max() / np.abs(march.vbar).max())
     ok = rel_u <= 1e-6 and rel_v <= 1e-6
     report(7, "one-step limit agreement at eps=1e-8", ok,
            f"rel_u={rel_u:.2e}, rel_v={rel_v:.2e} <= 1e-6")
@@ -122,16 +122,14 @@ def test_ac8_steady_states_and_conservation():
     vb0 = model.equilibrium_v(p, grid, u0)
     dt = schemes.marching_dt(p, grid).dt
     dts = schemes.semi_discrete_dt(p, grid).dt
-    hyp = HyperbolicState(u0.copy(), v0.copy(), 0.0)
-    lim = LimitState(u0.copy(), vb0.copy(), 0.0)
+    split = schemes.PairMarch(p, grid, dt, u0, v0, u0, vb0)
     mol = schemes.PairMarch(p, grid, dts, u0, v0, u0, vb0)
     for _ in range(100):
-        hyp = schemes.jpt_step(p, grid, hyp, dt)
-        lim = schemes.limit_step(p, grid, lim, dt)
+        split_steps(split)
         mol.rk4_step()
     drift = max(
-        np.abs(hyp.u - u0).max(), np.abs(hyp.v - v0).max(),
-        np.abs(lim.ubar - u0).max(), np.abs(lim.vbar - vb0).max(),
+        np.abs(split.u - u0).max(), np.abs(split.v - v0).max(),
+        np.abs(split.ubar - u0).max(), np.abs(split.vbar - vb0).max(),
         np.abs(mol.u - u0).max(), np.abs(mol.v - v0).max(),
         np.abs(mol.ubar - u0).max(),
     )

@@ -199,17 +199,31 @@ class TestExecution:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("scheme", ["semi-discrete", "jpt"])
     @pytest.mark.parametrize("u_left, message", [
         ("1e308", "error: non-finite cell values: unstable step size or blow-up"),
         ("1e200", "error: non-finite error norms: the squared errors overflow"),
     ])
-    def test_semi_discrete_blow_up_is_one_error_line(self, u_left, message, tmp_path, capsys):
-        # 1e308: the RK4 stages overflow the cells; 1e200: the cells stay
-        # finite and the squares of their differences overflow
-        argv = ["run", "--scheme", "semi-discrete", "--u-left", u_left, "--nx", "40",
+    def test_semi_discrete_blow_up_is_one_error_line(self, u_left, message, scheme, tmp_path, capsys):
+        # 1e308: the closure vbar of the initial jump overflows; 1e200: the
+        # cells stay finite and the squares of their differences overflow
+        argv = ["run", "--scheme", scheme, "--u-left", u_left, "--nx", "40",
                 "--tfinal", "0.01", "--out-dir", str(tmp_path)]
         assert cli.main(argv) == 1
         assert capsys.readouterr().err.splitlines() == [message]
+
+    @pytest.mark.parametrize("scheme", ["semi-discrete", "jpt"])
+    def test_blow_up_inside_the_march_is_caught_at_the_end(self, scheme, tmp_path, capsys):
+        # the initial cells are finite (dx = 25 keeps the closure gradient
+        # small), but 2 u overflows inside the one step; no step checks, the
+        # end of the march does
+        argv = ["run", "--scheme", scheme, "--u-left", "9e307", "--u-right", "0",
+                "--x-max", "1000", "--nx", "40", "--tfinal", "0.01", "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: non-finite cell values: unstable step size or blow-up"
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["profile_initial.csv"]
 
     def test_overflowing_residual_run_is_an_error(self, capsys):
         # the residual integrals overflow with the error sums; no verdict is printed
@@ -218,6 +232,18 @@ class TestExecution:
         captured = capsys.readouterr()
         assert "PASS" not in captured.out
         assert captured.err.splitlines() == ["error: non-finite error norms: the squared errors overflow"]
+
+    @pytest.mark.parametrize("check", ["residuals", "all"])
+    def test_residual_check_refuses_a_nonlinear_flux(self, check, capsys):
+        # the residual integrals exist for the linear flux only
+        argv = ["verify", "--check", check, "--flux", "burgers", "--lambda", "3",
+                "--nx", "20", "--tfinal", "0.001"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: the residual check needs the linear flux, not 'burgers'"
+        ]
 
     def test_main_exit_status(self, tmp_path):
         assert cli.main(["run", "--eps", "0.5", "--nx", "32", "--tfinal", "0.01",

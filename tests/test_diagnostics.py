@@ -9,7 +9,7 @@ from jinxin.harness import RunConfig
 from jinxin.model import Grid, ModelParams
 from jinxin.schemes import HyperbolicState, LimitState
 
-from conftest import rk4_march, smooth_bump
+from conftest import pair_march, smooth_bump
 
 
 def random_smooth(rng, x, scale=1.0):
@@ -336,7 +336,7 @@ class TestTheoremCheck:
             u = 1.5 - 0.5 * np.tanh((x - 0.5) / 0.05)
             vb = model.equilibrium_v(p, grid, u)
             step = schemes.semi_discrete_dt(p, grid)
-            march = rk4_march(p, grid, step.dt, u, vb)
+            march = pair_march(p, grid, step.dt, u, vb)
             sup_phi, kdv, kdxx = 0.0, 0.0, 0.0
             for _ in range(step.n_steps):
                 _, lim = march.states(0.0)
@@ -384,7 +384,7 @@ class TestEntropyInequality:
             u = 1.0 + 0.5 * smooth_bump(grid.centers)
             v = model.equilibrium_v(p, grid, u) + 0.05 * smooth_bump(grid.centers, center=0.45)
             step = schemes.semi_discrete_dt(p, grid)
-            march = rk4_march(p, grid, step.dt, u, v)
+            march = pair_march(p, grid, step.dt, u, v)
             states = [HyperbolicState(u=u, v=v, t=0.0)]
             for _ in range(step.n_steps):
                 march.rk4_step()

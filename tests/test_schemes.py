@@ -5,7 +5,7 @@ from jinxin import model, schemes
 from jinxin.model import Grid, ModelParams
 from jinxin.schemes import HyperbolicState, LimitState
 
-from conftest import rk4_march, smooth_bump
+from conftest import pair_march, smooth_bump, split_steps
 
 
 def constant_equilibrium(p, grid, c):
@@ -59,6 +59,21 @@ class TestStepSizes:
             schemes.semi_discrete_dt(ModelParams(eps=0.0, lam=1.0), Grid(n_cells=10))
 
 
+def convected(p, grid, state, dt):
+    """A march of ``state`` after the explicit half step: HLL convection of (u, v)."""
+    march = pair_march(p, grid, dt, state.u, state.v)
+    march.limit_rate()
+    march.convect()
+    return march
+
+
+def relaxed(p, grid, state, dt):
+    """A march of ``state`` after the implicit half step: the relaxation solve of v."""
+    march = pair_march(p, grid, dt, state.u, state.v)
+    march.relax()
+    return march
+
+
 class TestHLLStep:
     def test_interface_flux_values(self):
         # two flat states: the faces inside each carry (v, lam^2 u), the
@@ -71,7 +86,7 @@ class TestHLLStep:
         )
         jump_u, jump_v = 1.0 - 0.36, 0.5184 * 1.5 - 0.36
         dt = 0.025
-        out = schemes.hll_convection_step(p, grid, state, dt)
+        out = convected(p, grid, state, dt)
         r = dt / grid.dx
         assert out.u[[0, 3]].tolist() == [1.0, 2.0] and out.v[[0, 3]].tolist() == [0.5, 1.5]
         assert out.u[1] == pytest.approx(1.0 - r * (jump_u - 0.5), abs=1e-12)
@@ -82,7 +97,7 @@ class TestHLLStep:
     def test_constant_state_unchanged(self, base_params):
         grid = Grid(n_cells=30)
         state = constant_equilibrium(base_params, grid, 2.0)
-        out = schemes.hll_convection_step(base_params, grid, state, 1e-3)
+        out = convected(base_params, grid, state, 1e-3)
         assert np.array_equal(out.u, state.u)
         assert np.array_equal(out.v, state.v)
 
@@ -90,7 +105,7 @@ class TestHLLStep:
         grid = Grid(n_cells=21)
         state = constant_equilibrium(base_params, grid, 1.0)
         state.u[10] += 0.25
-        out = schemes.hll_convection_step(base_params, grid, state, 1e-3)
+        out = convected(base_params, grid, state, 1e-3)
         changed = np.flatnonzero(out.u != state.u)
         assert set(changed) <= {9, 10, 11}
         assert 10 in changed
@@ -98,11 +113,17 @@ class TestHLLStep:
         assert set(changed_v) <= {9, 10, 11}
 
     def test_instability_signalled(self, base_params):
+        # no step checks its cells: an inf stays non-finite through a full
+        # splitting step, and check_finite() reports it
         grid = Grid(n_cells=10)
         state = constant_equilibrium(base_params, grid, 1.0)
-        state.u[3] = np.inf
-        with np.errstate(invalid="ignore"), pytest.raises(schemes.InstabilityError):
-            schemes.hll_convection_step(base_params, grid, state, 1e-3)
+        march = pair_march(base_params, grid, 1e-3, state.u, state.v)
+        march.u[3] = np.inf
+        with np.errstate(invalid="ignore"):
+            split_steps(march)
+        assert not np.isfinite(march.u).all()
+        with pytest.raises(schemes.InstabilityError, match="non-finite cell values"):
+            march.check_finite()
 
 
 class TestRelaxationStep:
@@ -111,7 +132,7 @@ class TestRelaxationStep:
         p = ModelParams(eps=1e8, lam=0.72, a=0.5)
         grid = Grid(n_cells=20)
         state = HyperbolicState(u=np.full(20, 2.0), v=np.linspace(1, 2, 20), t=0.0)
-        out = schemes.relaxation_step(p, grid, state, dt=1e-3)
+        out = relaxed(p, grid, state, dt=1e-3)
         assert np.allclose(out.v, state.v, rtol=1e-10)
 
     def test_eps_zero_lands_on_closure(self):
@@ -119,13 +140,13 @@ class TestRelaxationStep:
         p = ModelParams(eps=0.0, lam=0.72, a=0.5)
         u = np.sin(np.linspace(0, 3, 32))
         state = HyperbolicState(u=u, v=np.zeros(32), t=0.0)
-        out = schemes.relaxation_step(p, grid, state, dt=1e-3)
+        out = relaxed(p, grid, state, dt=1e-3)
         assert np.allclose(out.v, model.equilibrium_v(p, grid, u), rtol=1e-14)
 
     def test_constant_equilibrium_exact(self, base_params):
         grid = Grid(n_cells=16)
         state = constant_equilibrium(base_params, grid, 1.7)
-        out = schemes.relaxation_step(base_params, grid, state, dt=2e-3)
+        out = relaxed(base_params, grid, state, dt=2e-3)
         assert np.array_equal(out.v, state.v)
 
 
@@ -134,16 +155,12 @@ class TestJptAndLimitSteps:
         p = ModelParams(eps=0.5, lam=0.72, a=0.5)
         grid = Grid(n_cells=50)
         hyp = constant_equilibrium(p, grid, 1.3)
-        lim = LimitState(ubar=hyp.u.copy(), vbar=model.equilibrium_v(p, grid, hyp.u), t=0.0)
-        u0, v0 = hyp.u.copy(), hyp.v.copy()
-        dt = schemes.marching_dt(p, grid).dt
-        for _ in range(100):
-            hyp = schemes.jpt_step(p, grid, hyp, dt)
-            lim = schemes.limit_step(p, grid, lim, dt)
-        assert np.abs(hyp.u - u0).max() <= 1e-14
-        assert np.abs(hyp.v - v0).max() <= 1e-14
-        assert np.abs(lim.ubar - u0).max() <= 1e-14
-        assert np.abs(lim.vbar - v0).max() <= 1e-14
+        u0, v0 = hyp.u, hyp.v
+        march = split_steps(pair_march(p, grid, schemes.marching_dt(p, grid).dt, u0, v0), 100)
+        assert np.abs(march.u - u0).max() <= 1e-14
+        assert np.abs(march.v - v0).max() <= 1e-14
+        assert np.abs(march.ubar - u0).max() <= 1e-14
+        assert np.abs(march.vbar - v0).max() <= 1e-14
 
     def test_tiny_eps_step_matches_limit_step(self):
         # asymptotic consistency at frozen grid/step
@@ -151,33 +168,29 @@ class TestJptAndLimitSteps:
         grid = Grid(n_cells=200)
         u, v, ub, vb = model.riemann_initial(p, grid, 2.0, 1.0, well_prepared=True)
         dt = schemes.marching_dt(p, grid).dt
-        hyp = schemes.jpt_step(p, grid, HyperbolicState(u, v, 0.0), dt)
-        lim = schemes.limit_step(p, grid, LimitState(ub, vb, 0.0), dt)
-        rel_u = np.abs(hyp.u - lim.ubar).max() / np.abs(lim.ubar).max()
-        rel_v = np.abs(hyp.v - lim.vbar).max() / np.abs(lim.vbar).max()
+        march = split_steps(schemes.PairMarch(p, grid, dt, u, v, ub, vb))
+        rel_u = np.abs(march.u - march.ubar).max() / np.abs(march.ubar).max()
+        rel_v = np.abs(march.v - march.vbar).max() / np.abs(march.vbar).max()
         assert rel_u <= 1e-6
         assert rel_v <= 1e-6
 
     def test_riemann_config_advances_stably(self, base_params, unit_grid):
         u, v, ub, vb = model.riemann_initial(base_params, unit_grid, 2.0, 1.0)
         step = schemes.marching_dt(base_params, unit_grid)
-        hyp = HyperbolicState(u, v, 0.0)
-        for _ in range(step.n_steps):
-            hyp = schemes.jpt_step(base_params, unit_grid, hyp, step.dt)
-        assert np.isfinite(hyp.u).all() and np.isfinite(hyp.v).all()
-        assert hyp.u.max() <= 2.0 + 1e-6 and hyp.u.min() >= 1.0 - 1e-6
+        march = schemes.PairMarch(base_params, unit_grid, step.dt, u, v, ub, vb)
+        split_steps(march, step.n_steps)
+        assert np.isfinite(march.u).all() and np.isfinite(march.v).all()
+        assert march.u.max() <= 2.0 + 1e-6 and march.u.min() >= 1.0 - 1e-6
 
     def test_limit_step_conserves_mass_without_transport(self):
         # short window: the diffusing tails stay below rounding at the ends
         p = ModelParams(eps=1.0, lam=1.0, a=0.0)
         grid = Grid(n_cells=80)
         ubar = 1.0 + smooth_bump(grid.centers, width=0.05)
-        lim = LimitState(ubar=ubar, vbar=model.equilibrium_v(p, grid, ubar), t=0.0)
-        mass0 = grid.dx * lim.ubar.sum()
-        dt = schemes.marching_dt(p, grid).dt
-        for _ in range(5):
-            lim = schemes.limit_step(p, grid, lim, dt)
-        assert grid.dx * lim.ubar.sum() == pytest.approx(mass0, abs=1e-13)
+        mass0 = grid.dx * ubar.sum()
+        march = pair_march(p, grid, schemes.marching_dt(p, grid).dt, ubar, np.zeros(80))
+        split_steps(march, 5)
+        assert grid.dx * march.ubar.sum() == pytest.approx(mass0, abs=1e-13)
 
     def test_limit_step_mass_balance_matches_boundary_fluxes(self):
         # telescoping is exact: mass change equals the boundary fluxes even
@@ -185,36 +198,35 @@ class TestJptAndLimitSteps:
         p = ModelParams(eps=1.0, lam=1.0, a=0.0)
         grid = Grid(n_cells=80)
         ubar = 1.0 + smooth_bump(grid.centers)
-        lim = LimitState(ubar=ubar, vbar=model.equilibrium_v(p, grid, ubar), t=0.0)
-        mass0 = grid.dx * lim.ubar.sum()
+        mass0 = grid.dx * ubar.sum()
         dt = schemes.marching_dt(p, grid).dt
+        march = pair_march(p, grid, dt, ubar, np.zeros(80))
         inflow = 0.0
         for _ in range(50):
             # interface fluxes at the ends collapse to the edge vbar under copy ghosts
-            inflow += dt * (lim.vbar[0] - lim.vbar[-1])
-            lim = schemes.limit_step(p, grid, lim, dt)
-        assert grid.dx * lim.ubar.sum() - mass0 == pytest.approx(inflow, abs=1e-13)
+            inflow += dt * (march.vbar[0] - march.vbar[-1])
+            split_steps(march)
+        assert grid.dx * march.ubar.sum() - mass0 == pytest.approx(inflow, abs=1e-13)
 
     def test_hll_step_conserves_mass_for_flat_far_field(self, base_params):
         grid = Grid(n_cells=80)
         u = 1.0 + smooth_bump(grid.centers)
         v = np.asarray(model.flux_eval(base_params.flux, base_params.a, u))
-        state = HyperbolicState(u=u, v=v, t=0.0)
-        mass0 = grid.dx * state.u.sum()
-        dt = schemes.marching_dt(base_params, grid).dt
+        mass0 = grid.dx * u.sum()
+        march = pair_march(base_params, grid, schemes.marching_dt(base_params, grid).dt, u, v)
         for _ in range(50):
-            state = schemes.hll_convection_step(base_params, grid, state, dt)
-        assert grid.dx * state.u.sum() == pytest.approx(mass0, abs=1e-13)
+            march.limit_rate()
+            march.convect()  # no relax(): HLL convection alone
+        assert grid.dx * march.u.sum() == pytest.approx(mass0, abs=1e-13)
 
     def test_limit_step_smooths_the_front(self, base_params, unit_grid):
-        _, _, ub, vb = model.riemann_initial(base_params, unit_grid, 2.0, 1.0)
+        u, v, ub, vb = model.riemann_initial(base_params, unit_grid, 2.0, 1.0)
         step = schemes.marching_dt(base_params, unit_grid)
-        lim = LimitState(ub, vb, 0.0)
-        for _ in range(step.n_steps):
-            lim = schemes.limit_step(base_params, unit_grid, lim, step.dt)
-        jumps = np.abs(np.diff(lim.ubar)).max()
+        march = schemes.PairMarch(base_params, unit_grid, step.dt, u, v, ub, vb)
+        split_steps(march, step.n_steps)
+        jumps = np.abs(np.diff(march.ubar)).max()
         assert jumps < 0.1  # the unit jump has diffused across many cells
-        assert lim.ubar.max() <= 2.0 + 1e-9 and lim.ubar.min() >= 1.0 - 1e-9
+        assert march.ubar.max() <= 2.0 + 1e-9 and march.ubar.min() >= 1.0 - 1e-9
 
 
 class TestSemiDiscreteRhs:
@@ -294,7 +306,7 @@ class TestLimitSemiDiscreteRhs:
         scale = np.abs(dvdt).max()
 
         def centered_gap(dt):
-            march = rk4_march(p, grid, dt, ubar, lim0.vbar, ubar)
+            march = pair_march(p, grid, dt, ubar, lim0.vbar, ubar)
             march.rk4_step()
             _, mid = march.states(dt)
             march.rk4_step()
@@ -316,7 +328,7 @@ class TestIntegrator:
         hyp = constant_equilibrium(base_params, grid, 1.5)
         lim = LimitState(hyp.u.copy(), model.equilibrium_v(base_params, grid, hyp.u), 0.0)
         dt = schemes.semi_discrete_dt(base_params, grid).dt
-        march = rk4_march(base_params, grid, dt, hyp.u, hyp.v, lim.ubar)
+        march = pair_march(base_params, grid, dt, hyp.u, hyp.v, lim.ubar)
         for _ in range(16):
             march.rk4_step()
             assert np.array_equal(march.u, hyp.u)
@@ -329,12 +341,12 @@ class TestIntegrator:
         u = 1.0 + 0.5 * smooth_bump(grid.centers, width=0.1)
         v = model.equilibrium_v(p, grid, u)
         step = schemes.semi_discrete_dt(p, grid)
-        mol = rk4_march(p, grid, step.dt, u, v)
-        hyp_jpt = HyperbolicState(u.copy(), v.copy(), 0.0)
+        mol = pair_march(p, grid, step.dt, u, v)
+        split = pair_march(p, grid, step.dt, u, v)
         for _ in range(step.n_steps):
             mol.rk4_step()
-            hyp_jpt = schemes.jpt_step(p, grid, hyp_jpt, step.dt)
-        gap = max(np.abs(mol.u - hyp_jpt.u).max(), np.abs(mol.v - hyp_jpt.v).max())
+            split_steps(split)
+        gap = max(np.abs(mol.u - split.u).max(), np.abs(mol.v - split.v).max())
         # first-order splitting gap, measured ~15*dt; generous headroom
         assert gap <= 50 * step.dt
 
@@ -345,7 +357,7 @@ class TestIntegrator:
         v = np.asarray(model.flux_eval(p.flux, p.a, u))
 
         def final(dt):
-            march = rk4_march(p, grid, dt, u, v)
+            march = pair_march(p, grid, dt, u, v)
             for _ in range(round(p.t_final / dt)):
                 march.rk4_step()
             return march
@@ -367,7 +379,7 @@ class TestIntegrator:
         x = grid.centers
         u = 1.0 + smooth_bump(x, width=0.05)
         v = (x - 0.5) * smooth_bump(x, width=0.05)
-        march = rk4_march(p, grid, schemes.semi_discrete_dt(p, grid).dt, u, v)
+        march = pair_march(p, grid, schemes.semi_discrete_dt(p, grid).dt, u, v)
         for _ in range(40):
             march.rk4_step()
         assert np.abs(march.u - march.u[::-1]).max() <= 1e-13
@@ -401,6 +413,28 @@ def textbook_rk4(p, grid, y0, dt):
     return y0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def textbook_split(p, grid, y0, dt):
+    """One splitting step of the rows (u, v, ubar, vbar), written out with pad_edges.
+
+    HLL convection of (u, v) and the forward-Euler limit update, then the
+    relaxation solve of v and the closure of ubar, each term formed in the
+    order of the kernels.
+    """
+    u, v, ubar, vbar = y0
+    two_dx = 2.0 * grid.dx
+    ue, ve, be, ce = (model.pad_edges(w) for w in y0)
+    flux_u = 0.5 * (ve[:-1] + ve[1:]) - 0.5 * p.lam * (ue[1:] - ue[:-1])
+    flux_v = 0.5 * p.lam**2 * (ue[:-1] + ue[1:]) - 0.5 * p.lam * (ve[1:] - ve[:-1])
+    u = u - dt / grid.dx * (flux_u[1:] - flux_u[:-1])
+    v = v - dt / grid.dx * (flux_v[1:] - flux_v[:-1])
+    ubar = ubar + dt * ((p.lam * ((be[2:] - 2.0 * ubar) + be[:-2]) - (ce[2:] - ce[:-2])) / two_dx)
+    ue = model.pad_edges(u)
+    grad = (ue[2:] - ue[:-2]) / two_dx
+    target = model.flux_eval(p.flux, p.a, u) - (1.0 - p.eps**2) * p.lam**2 * grad
+    v = target + p.eps**2 / (p.eps**2 + dt) * (v - target)
+    return np.array([u, v, ubar, model.equilibrium_v(p, grid, ubar)])
+
+
 class TestPairMarch:
     @pytest.mark.parametrize("flux, lam", [("linear", 0.72), ("burgers", 3.0)])
     def test_matches_the_step_functions_bit_for_bit(self, flux, lam):
@@ -409,16 +443,11 @@ class TestPairMarch:
         u, v, ub, vb = model.riemann_initial(p, grid, 2.0, 1.0)
         dt = schemes.marching_dt(p, grid).dt
         march = schemes.PairMarch(p, grid, dt, u, v, ub, vb)
-        hyp, lim = HyperbolicState(u, v, 0.0), LimitState(ub, vb, 0.0)
+        y = np.array([u, v, ub, vb])
         for _ in range(30):
-            march.limit_rate()
-            march.convect()
-            march.relax()
-            hyp = schemes.jpt_step(p, grid, hyp, dt)
-            lim = schemes.limit_step(p, grid, lim, dt)
-        for marched, stepped in zip((march.u, march.v, march.ubar, march.vbar),
-                                    (hyp.u, hyp.v, lim.ubar, lim.vbar)):
-            assert np.array_equal(marched, stepped)
+            split_steps(march)
+            y = textbook_split(p, grid, y, dt)
+        assert np.array_equal(march.block[:, 1:-1], y)
         assert march.block[:, 0].tolist() == march.block[:, 1].tolist()  # copy ghosts
         assert march.block[:, -1].tolist() == march.block[:, -2].tolist()
 
