@@ -53,6 +53,7 @@ from .harness import (
     convergence_study,
     fit_rate,
     make_config,
+    run_group,
     run_pair,
     study_cells,
     write_profile,

@@ -190,13 +190,16 @@ class ResidualIntegrals:
     relax_sq: float = 0.0  # integral of dx-sum of (dv - a du)^2
     snapshots: list[tuple[float, ...]] = field(default_factory=list)
 
-    def add(self, p: ModelParams, grid: Grid, block: np.ndarray, dt: float) -> None:
-        """Integrate over [t, t + dt] from a ``schemes.PairMarch`` block (u, v, ubar, vbar) at t."""
+    def add(self, p: ModelParams, grid: Grid, pair: np.ndarray, limit: np.ndarray, dt: float) -> None:
+        """Integrate over [t, t + dt] from the ghost-padded rows (u, v) and (ubar, vbar) at t.
+
+        Both are pairs of a ``schemes.PairMarch``, as in its ``pairs``.
+        """
         dx = grid.dx
-        du_ext = block[0] - block[2]
-        dv_ext = block[1] - block[3]
+        du_ext = pair[0] - limit[0]
+        dv_ext = pair[1] - limit[1]
         du, dv = du_ext[1:-1], dv_ext[1:-1]
-        dxx_vbar = _dxx(dx, block[3])
+        dxx_vbar = _dxx(dx, limit[1])
         r1, r2, r3, r4 = _residuals(p, dx, du_ext, dv_ext, dxx_vbar)
         self.int_r1 += dt * dx * float(r1.sum())
         self.int_r2 += dt * dx * float(r2.sum())

@@ -3,9 +3,12 @@
 A run always advances the relaxed and the limiting solution side by side on
 the same grid and step ladder, accumulating the space-time error norms and
 (for the semi-discrete scheme with the linear flux) the entropy budgets.
-The convergence study repeats runs over an eps sweep with a grid refined so
-that dx <= eps, then fits the log-log rate of the relaxation-scaled squared
-error.
+``run_group`` is the one march loop: it advances one relaxed pair per eps
+beside a single limit pair, for eps that share the grid and the step, and
+reduces the running sums once per chunk of steps.  ``run_pair`` is its
+one-eps case.  The convergence study runs an eps sweep with a grid refined
+so that dx <= eps, one group per grid and step, then fits the log-log rate
+of the relaxation-scaled squared error.
 """
 
 from __future__ import annotations
@@ -221,14 +224,100 @@ def write_series(path: str | Path, series: ErrorSeries) -> None:
 ACCUMULATORS = ("k-norms", "entropy", "residuals")
 
 
-def run_pair(config: RunConfig, accumulate=ACCUMULATORS) -> RunResult:
-    """Advance both solutions to t_final, accumulating norms and budgets.
+class _RunningSums:
+    """The space-time sums of a group's march, reduced once per chunk of steps.
 
-    The shared step comes from the scheme's stability rule and lands exactly
-    on t_final.  All space-time integrals use left-endpoint quadrature, the
-    same rule that defines the discrete L2(Q_t) norm.  The four fields live
-    in one ``schemes.PairMarch`` block, advanced in place by ``convect()``
-    and ``relax()`` (splitting) or by ``rk4_step()`` (semi-discrete).
+    Each step writes its raw fields into slot ``j`` of the chunk: du and dv
+    of every row (``diffs``), the boundary jump v_1 - v_n of every row
+    (``edges``) and the squared K-norm fields (``k_fields``).  ``flush()``
+    reduces the chunk to cell sums, turns them into left-endpoint increments
+    and adds those with ``np.add.accumulate``: the same float sequence as
+    summing the cells and adding the increment one step at a time.
+    ``totals`` holds, per column, the sums so far: the squared L2 error and
+    the weighted error of each row, the boundary inflow of each row, then
+    the two K norms.  A record point asks for the totals at its step; they
+    are copied out when the chunk holding that step is flushed.
+    """
+
+    FIELD_BYTES = 1 << 19  # the per-step fields of one chunk, at most 256 steps
+
+    def __init__(
+        self, params: list[ModelParams], dt: float, dx: float, n_cells: int, k_norms: bool
+    ) -> None:
+        k = len(params)
+        p = params[0]
+        self.a_cross = p.a if p.flux == model.LINEAR else 0.0
+        self.k, self.dt, self.dtdx = k, dt, dt * dx
+        self.half_lam2 = 0.5 * p.lam**2
+        self.half_eps2 = np.array([0.5 * q.eps**2 for q in params])
+        self.eps2_cross = np.array([q.eps**2 * self.a_cross for q in params])
+        self.chunk = c = max(1, min(256, self.FIELD_BYTES // (8 * n_cells * (3 * k + 2 * k_norms))))
+        self.diffs = np.empty((c, k, 2, n_cells))
+        self.cross_cells = np.empty((c, k, n_cells))
+        # without K norms the fields are empty, and their cell sums read 0
+        self.k_fields = np.empty((c, 2, n_cells) if k_norms else (c, 2, 0))
+        self.edges = np.zeros((c, k))
+        self.squares = np.empty((c, k, 2))  # cell sums of du^2 and dv^2
+        self.cross = np.zeros((c, k))  # cell sums of du dv
+        self.k_squares = np.zeros((c, 2))
+        self.scratch = np.empty((c, k))
+        self.acc = np.zeros((c + 1, 3 * k + 2))
+        self.start = 0  # the step of slot 0
+        self.pending: list[int] = []  # recorded steps not yet copied out
+        self.recorded: list[np.ndarray] = []
+
+    @property
+    def totals(self) -> np.ndarray:
+        return self.acc[0]
+
+    def flush(self, j: int) -> None:
+        """Add the first ``j`` slots to the totals and copy out the records they reach."""
+        k, acc = self.k, self.acc
+        diffs = self.diffs[:j]
+        if self.a_cross != 0.0:
+            np.multiply(diffs[:, :, 0], diffs[:, :, 1], out=self.cross_cells[:j])
+            np.add.reduce(self.cross_cells[:j], axis=-1, out=self.cross[:j])
+        np.multiply(diffs, diffs, out=diffs)
+        np.add.reduce(diffs, axis=-1, out=self.squares[:j])
+        np.add.reduce(self.k_fields[:j], axis=-1, out=self.k_squares[:j])
+
+        inc = acc[1 : j + 1]
+        l2, wgt, inflow, k_norms = inc[:, :k], inc[:, k : 2 * k], inc[:, 2 * k : 3 * k], inc[:, 3 * k :]
+        du2, dv2 = self.squares[:j, :, 0], self.squares[:j, :, 1]
+        scratch = self.scratch[:j]
+        # dt dx (du2 + dv2), and dt dx (lam^2/2 du2 + eps^2/2 dv2 - eps^2 a du dv)
+        np.add(du2, dv2, out=l2)
+        np.multiply(self.dtdx, l2, out=l2)
+        np.multiply(self.half_lam2, du2, out=wgt)
+        np.multiply(self.half_eps2, dv2, out=scratch)
+        np.add(wgt, scratch, out=wgt)
+        np.multiply(self.eps2_cross, self.cross[:j], out=scratch)
+        np.subtract(wgt, scratch, out=wgt)
+        np.multiply(self.dtdx, wgt, out=wgt)
+        # boundary HLL fluxes collapse to the edge v under copy ghosts
+        np.multiply(self.dt, self.edges[:j], out=inflow)
+        np.multiply(self.dtdx, self.k_squares[:j], out=k_norms)
+        np.add.accumulate(acc[: j + 1], axis=0, out=acc[: j + 1])
+        reached = [step - self.start for step in self.pending if step <= self.start + j]
+        if reached:
+            self.recorded.append(acc[reached])
+            del self.pending[: len(reached)]
+        acc[0] = acc[j]
+        self.start += j
+
+
+def run_group(
+    config: RunConfig, epsilons, accumulate=ACCUMULATORS
+) -> list[RunResult | schemes.InstabilityError]:
+    """Advance ``config`` at every eps in ``epsilons`` to t_final, as one march.
+
+    The grid, the step, the Riemann data and the limit pair do not depend on
+    eps, so one ``schemes.PairMarch`` block holds a relaxed pair per eps
+    beside a single limit pair, and each row comes out bit for bit as if
+    marched alone.  The step comes from the scheme's stability rule, lands
+    exactly on t_final, and must be the same for every eps.  All space-time
+    integrals use left-endpoint quadrature, the same rule that defines the
+    discrete L2(Q_t) norm.
 
     Every run accumulates the error sums and phi at the record points, and
     the splitting scheme the mass audit.  ``accumulate`` names the costly
@@ -236,16 +325,25 @@ def run_pair(config: RunConfig, accumulate=ACCUMULATORS) -> RunResult:
     semi-discrete scheme with the linear flux the entropy budgets at the
     record points behind ``identity_rel_max`` ("entropy") and the residual
     integrals ("residuals").  K norms not asked for read NaN in the series,
-    the other two None in the result.
+    the other two None in the result.  Profiles and the series file are
+    written for a single eps only.
 
-    Raises ``InstabilityError`` when the cells or the accumulated sums stop
-    being finite.  No step checks the cells: both schemes run
-    ``march.check_finite()`` at the record points and at the end only.
+    Returns, per eps, its ``RunResult`` or the ``InstabilityError`` that
+    ended its row when its cells or its sums stopped being finite; the other
+    rows march on.  No step checks the cells: ``march.finite_pairs()`` runs
+    at the record points and at the end.  Raises ``ConfigError`` before
+    marching when any eps makes an invalid config.
     """
     if not set(accumulate) <= set(ACCUMULATORS):
         raise ValueError(f"unknown accumulators in {accumulate!r}, expected some of {ACCUMULATORS}")
-    config.validate()
-    p = config.params()
+    configs = [replace(config, eps=eps) for eps in epsilons]
+    for run_cfg in configs:
+        run_cfg.validate()
+    out_dir = Path(config.out_dir) if config.out_dir is not None else None
+    if out_dir is not None and len(configs) != 1:
+        raise ValueError("profiles and series are written for one eps at a time")
+    params = [run_cfg.params() for run_cfg in configs]
+    p = params[0]
     grid = config.grid()
 
     half_width = 0.5 * (grid.x_max - grid.x_min)
@@ -265,126 +363,155 @@ def run_pair(config: RunConfig, accumulate=ACCUMULATORS) -> RunResult:
     linear_semi = semi and p.flux == model.LINEAR
     k_norms = "k-norms" in accumulate
     entropy = "entropy" in accumulate and linear_semi
-    step = schemes.semi_discrete_dt(p, grid) if semi else schemes.marching_dt(p, grid)
+    steps = {_step_size(run_cfg) for run_cfg in configs}
+    if len(steps) != 1:
+        raise ValueError("the eps of one march must share one step size")
+    (step,) = steps
     dt, n_steps = step.dt, step.n_steps
-    march = schemes.PairMarch(p, grid, dt, u0, v0, ub0, vb0, curvature=k_norms)
+    march = schemes.PairMarch(
+        p, grid, dt, u0, v0, ub0, vb0, curvature=k_norms, epsilons=[q.eps for q in params]
+    )
+    n_rows = len(configs)
+    rows = range(n_rows)
 
-    res_acc = ResidualIntegrals(dx=grid.dx) if "residuals" in accumulate and linear_semi else None
-    identity_rel_max = 0.0 if entropy else None
+    residuals = "residuals" in accumulate and linear_semi
+    res_accs = [ResidualIntegrals(dx=grid.dx) if residuals else None for _ in rows]
+    identity_rel_max = [0.0 if entropy else None for _ in rows]
+    failed: list[schemes.InstabilityError | None] = [None for _ in rows]
 
-    out_dir = Path(config.out_dir) if config.out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
+    sums = _RunningSums(params, dt, grid.dx, grid.n_cells, k_norms)
     t_rec: list[float] = []
-    phi_rec: list[float] = []
-    l2_rec: list[float] = []
-    wgt_rec: list[float] = []
-    kdv_rec: list[float] = []
-    kdxx_rec: list[float] = []
-    l2_sum = wgt_sum = 0.0
-    kdv_sum = kdxx_sum = 0.0 if k_norms else math.nan
-    boundary_inflow = 0.0
+    phi_rec: list[list[float]] = [[] for _ in rows]
     mass0 = grid.dx * float(u0.sum())
     dx = grid.dx
     t = 0.0
 
-    def record(t_k: float, dump_tag: str) -> None:
-        nonlocal identity_rel_max
+    def check_cells() -> bool:
+        """Fail the rows whose cells stopped being finite; whether any row is left."""
+        for i, finite in enumerate(march.finite_pairs()):
+            if not finite and failed[i] is None:
+                failed[i] = schemes.InstabilityError(
+                    "non-finite cell values: unstable step size or blow-up"
+                )
+        return not all(failed)
+
+    def record(k: int, t_k: float, dump_tag: str, diff: np.ndarray) -> None:
         t_rec.append(t_k)
-        phi_rec.append(diagnostics.weighted_error_total(p, grid, du, dv))
-        l2_rec.append(l2_sum)
-        wgt_rec.append(wgt_sum)
-        kdv_rec.append(kdv_sum)
-        kdxx_rec.append(kdxx_sum)
-        states = march.states(t) if out_dir is not None or entropy else None
-        if out_dir is not None:
-            write_profile(out_dir / f"profile_{dump_tag}.csv", grid, *states)
-        if entropy:
-            rel = diagnostics.entropy_budget(p, grid, *states).rel_mismatch_max
-            identity_rel_max = max(identity_rel_max, rel)
+        sums.pending.append(k)
+        for i in rows:
+            if failed[i] is not None:
+                continue
+            phi_rec[i].append(diagnostics.weighted_error_total(params[i], grid, *diff[i]))
+            states = march.states(t, i) if out_dir is not None or entropy else None
+            if out_dir is not None:
+                write_profile(out_dir / f"profile_{dump_tag}.csv", grid, *states)
+            if entropy:
+                rel = diagnostics.entropy_budget(params[i], grid, *states).rel_mismatch_max
+                identity_rel_max[i] = max(identity_rel_max[i], rel)
 
-    lam2 = p.lam**2
-    eps2 = p.eps**2
-    a_cross = p.a if p.flux == model.LINEAR else 0.0
-    diff = np.empty((2, grid.n_cells))
-    du, dv = diff
-    squares = np.empty((2, grid.n_cells))
-
+    v_first, v_last = march.relaxed[:, 1, 0], march.relaxed[:, 1, -1]
+    record_every, chunk = config.record_every, sums.chunk
+    j = 0  # the slot of step k in the chunk
     for k in range(n_steps):
-        np.subtract(march.relaxed, march.limit, out=diff)
+        diff = np.subtract(march.relaxed, march.limit, out=sums.diffs[j])
 
-        if k == 0 or (config.record_every > 0 and k % config.record_every == 0):
-            march.check_finite()
-            record(k * dt, "initial" if k == 0 else f"{k:08d}")
+        if k == 0 or (record_every > 0 and k % record_every == 0):
+            if not check_cells():
+                return failed
+            record(k, k * dt, "initial" if k == 0 else f"{k:08d}", diff)
 
-        # fused left-endpoint accumulation of the space-time integrals
-        du2, dv2 = np.multiply(diff, diff, out=squares).sum(axis=1).tolist()
-        cross = float(np.multiply(du, dv, out=squares[0]).sum()) if a_cross != 0.0 else 0.0
-        l2_sum += dt * dx * (du2 + dv2)
-        wgt_sum += dt * dx * (0.5 * lam2 * du2 + 0.5 * eps2 * dv2 - eps2 * a_cross * cross)
-
-        if k_norms or not semi:
-            march.limit_rate()
         if k_norms:
+            march.limit_rate()
             k_fields = march.closure_rates()  # dvbar/dt and D_xx vbar
-            kdv2, kdxx2 = np.multiply(k_fields, k_fields, out=k_fields).sum(axis=1).tolist()
-            kdv_sum += dt * dx * kdv2
-            kdxx_sum += dt * dx * kdxx2
+            np.multiply(k_fields, k_fields, out=sums.k_fields[j])
 
-        if res_acc is not None:
-            res_acc.add(p, grid, march.block, dt)
+        if residuals:
+            for i in rows:
+                res_accs[i].add(params[i], grid, march.pairs[i], march.pairs[-1], dt)
 
         if semi:
             march.rk4_step()
         else:
-            # boundary HLL fluxes collapse to the edge v under copy ghosts
-            boundary_inflow += dt * (float(march.v[0]) - float(march.v[-1]))
+            np.subtract(v_first, v_last, out=sums.edges[j])
             march.convect()
             march.relax()
         t += dt
+        j += 1
+        if j == chunk:
+            sums.flush(j)
+            j = 0
 
-    march.check_finite()
-    # the cells stay finite while their squares overflow (u ~ 1e200)
-    sums = (l2_sum, wgt_sum, kdv_sum, kdxx_sum) if k_norms else (l2_sum, wgt_sum)
-    if not all(math.isfinite(x) for x in sums):
-        raise schemes.InstabilityError("non-finite error norms: the squared errors overflow")
+    if not check_cells():
+        return failed
+    sums.flush(j)
+    # the cells stay finite while their squares overflow (u ~ 1e200); the
+    # K norms, shared by every row, read 0 when not asked for
+    for i in rows:
+        if failed[i] is None and not np.isfinite(sums.totals[[i, n_rows + i, -2, -1]]).all():
+            failed[i] = schemes.InstabilityError("non-finite error norms: the squared errors overflow")
 
-    np.subtract(march.relaxed, march.limit, out=diff)
-    record(p.t_final, "final")
-    hyp, lim = march.states(t)
+    record(n_steps, p.t_final, "final", np.subtract(march.relaxed, march.limit))
+    sums.flush(0)
+    recorded = np.concatenate(sums.recorded)
+    k_series = recorded[:, -2:] if k_norms else np.full((len(t_rec), 2), math.nan)
 
-    series = ErrorSeries(
-        dx=dx,
-        t=np.asarray(t_rec),
-        phi=np.asarray(phi_rec),
-        l2err_sq=np.asarray(l2_rec),
-        weighted_sq=np.asarray(wgt_rec),
-        k_dvbar_sq=np.asarray(kdv_rec),
-        k_dxxvbar_sq=np.asarray(kdxx_rec),
-    )
-    if out_dir is not None:
-        write_series(out_dir / "series.csv", series)
-
-    mass = None
-    if not semi:
-        mass = MassAudit(
-            mass_initial=mass0,
-            mass_final=dx * float(hyp.u.sum()),
-            boundary_inflow=boundary_inflow,
+    outcomes: list[RunResult | schemes.InstabilityError] = []
+    for i, run_cfg in enumerate(configs):
+        if failed[i] is not None:
+            outcomes.append(failed[i])
+            continue
+        hyp, lim = march.states(t, i)
+        series = ErrorSeries(
+            dx=dx,
+            t=np.asarray(t_rec),
+            phi=np.asarray(phi_rec[i]),
+            l2err_sq=recorded[:, i].copy(),
+            weighted_sq=recorded[:, n_rows + i].copy(),
+            k_dvbar_sq=k_series[:, 0].copy(),
+            k_dxxvbar_sq=k_series[:, 1].copy(),
         )
-    return RunResult(
-        config=config,
-        grid=grid,
-        step=step,
-        hyp=hyp,
-        lim=lim,
-        series=series,
-        residual_integrals=res_acc,
-        identity_rel_max=identity_rel_max,
-        mass=mass,
-    )
+        if out_dir is not None:
+            write_series(out_dir / "series.csv", series)
+        mass = None
+        if not semi:
+            mass = MassAudit(
+                mass_initial=mass0,
+                mass_final=dx * float(hyp.u.sum()),
+                boundary_inflow=float(sums.totals[2 * n_rows + i]),
+            )
+        outcomes.append(
+            RunResult(
+                config=run_cfg,
+                grid=grid,
+                step=step,
+                hyp=hyp,
+                lim=lim,
+                series=series,
+                residual_integrals=res_accs[i],
+                identity_rel_max=identity_rel_max[i],
+                mass=mass,
+            )
+        )
+    return outcomes
 
+
+def run_pair(config: RunConfig, accumulate=ACCUMULATORS) -> RunResult:
+    """``run_group`` at the one eps of ``config``; raises the ``InstabilityError`` that ended it."""
+    (result,) = run_group(config, (config.eps,), accumulate)
+    if isinstance(result, schemes.InstabilityError):
+        raise result
+    return result
+
+
+def _step_size(config: RunConfig) -> StepSize:
+    """The shared step of ``config``'s march, by its scheme's stability rule."""
+    p, grid = config.params(), config.grid()
+    if config.scheme == SEMI_DISCRETE:
+        return schemes.semi_discrete_dt(p, grid)
+    return schemes.marching_dt(p, grid)
 
 def study_cells(config: RunConfig, eps: float) -> int:
     """Grid rule of the eps sweep: n = max(base, ceil(width / eps)).
@@ -438,19 +565,18 @@ class StudyResult:
 def convergence_study(config: RunConfig, epsilons=DEFAULT_EPS_SWEEP) -> StudyResult:
     """Run the paired simulation per eps and fit the decay rate.
 
-    Each eps gets the grid rule's resolution; failures are recorded and the
-    sweep continues.  Results are keyed by eps, in decreasing order.  When
-    fewer than two points survive, the slope and intercept are NaN and the
-    failures say why.
+    Each eps gets the grid rule's resolution.  Every eps is validated first;
+    the points that share a grid and a step then march together, one
+    ``run_group`` each, with results identical to lone runs.  Failures are
+    recorded and the sweep continues.  Results are keyed by eps, in
+    decreasing order.  When fewer than two points survive, the slope and
+    intercept are NaN and the failures say why.
     """
     sweep = sorted(set(float(e) for e in epsilons), reverse=True)
     if len(sweep) < 2:
         raise ValueError("rate fit needs at least two points")
-    kept_eps: list[float] = []
-    errors: list[float] = []
-    l2_errors: list[float] = []
-    cells: list[int] = []
-    failures: list[tuple[float, str]] = []
+    outcomes: dict[float, RunResult | Exception] = {}
+    groups: dict[tuple[int, StepSize], list[float]] = {}
     for eps in sweep:
         run_cfg = replace(
             config,
@@ -461,14 +587,28 @@ def convergence_study(config: RunConfig, epsilons=DEFAULT_EPS_SWEEP) -> StudyRes
         )
         try:
             run_cfg.validate()
-            result = run_pair(run_cfg, accumulate=())
-        except (ConfigError, schemes.InstabilityError) as exc:
-            failures.append((eps, str(exc)))
+        except ConfigError as exc:
+            outcomes[eps] = exc
+            continue
+        groups.setdefault((run_cfg.n_cells, _step_size(run_cfg)), []).append(eps)
+    for (n_cells, _), group in groups.items():
+        base = replace(config, n_cells=n_cells, record_every=0, out_dir=None)
+        outcomes.update(zip(group, run_group(base, group, accumulate=())))
+
+    kept_eps: list[float] = []
+    errors: list[float] = []
+    l2_errors: list[float] = []
+    cells: list[int] = []
+    failures: list[tuple[float, str]] = []
+    for eps in sweep:
+        outcome = outcomes[eps]
+        if isinstance(outcome, Exception):
+            failures.append((eps, str(outcome)))
             continue
         kept_eps.append(eps)
-        errors.append(result.weighted_err_sq)
-        l2_errors.append(result.l2err_sq)
-        cells.append(run_cfg.n_cells)
+        errors.append(outcome.weighted_err_sq)
+        l2_errors.append(outcome.l2err_sq)
+        cells.append(outcome.grid.n_cells)
     slope = intercept = math.nan
     if len(kept_eps) >= 2:
         slope, intercept = fit_rate(zip(kept_eps, errors))

@@ -10,10 +10,12 @@ both marched in place by ``PairMarch``:
   the limiting equations, integrated with classical RK4 for the entropy
   diagnostics.
 
-No step checks its cells.  The kernels only add, subtract, multiply and
-divide by constants, so a NaN or inf never turns finite again, and
-``PairMarch.check_finite()`` at the caller's record points and at the end
-catches every blow-up.
+A march holds one relaxed pair per eps beside one shared limit pair; the
+pairs never mix, so each behaves as if marched alone, bit for bit.  No step
+checks its cells.  The kernels only add, subtract, multiply and divide by
+constants, so a NaN or inf never turns finite again, and
+``PairMarch.finite_pairs()`` at the caller's record points and at the end
+catches every blow-up, pair by pair.
 """
 
 from __future__ import annotations
@@ -98,37 +100,46 @@ def _padded(*rows) -> np.ndarray:
     """Stack cell fields into one float64 block with a copy ghost at each end."""
     block = np.empty((len(rows), len(rows[0]) + 2))
     block[:, 1:-1] = rows
-    _refresh_ghosts(block)
+    _Ghosts(block)()
     return block
 
 
-def _refresh_ghosts(block: np.ndarray) -> None:
-    # the zero-gradient closure of model.pad_edges, for every row at once:
-    # the strided slices pick the ghosts (0, n+1) and the edge cells (1, n)
-    n = block.shape[-1] - 2
-    block[..., :: n + 1] = block[..., 1 : n + 1 : n - 1]
+class _Ghosts:
+    """Refreshes the copy ghosts of a ghost-padded block, every row at once.
+
+    The zero-gradient closure of ``model.pad_edges``: the strided views pick
+    the ghosts (0, n+1) and the edge cells (1, n) they copy.
+    """
+
+    def __init__(self, block: np.ndarray) -> None:
+        n = block.shape[-1] - 2
+        self.ghosts, self.edges = block[..., :: n + 1], block[..., 1 : n + 1 : n - 1]
+
+    def __call__(self) -> None:
+        self.ghosts[...] = self.edges
 
 
 class _HLLConvection:
-    """HLL convection of the ghost-padded rows (u, v), in place on their cells.
+    """HLL convection of ghost-padded (u, v) pairs, in place on their cells.
 
-    The interface fluxes
+    ``rows`` has shape (k, 2, n+2): k pairs, each marched on its own.  The
+    interface fluxes
         F_u = (v_i + v_{i+1})/2 - lam (u_{i+1} - u_i)/2
         F_v = lam^2 (u_i + u_{i+1})/2 - lam (v_{i+1} - v_i)/2
-    take one ufunc call per stage for both rows: the neighbour sums enter
-    with the rows swapped and the column coefficients [1/2, lam^2/2].
+    take one ufunc call per stage for all rows: the neighbour sums enter
+    with each pair swapped and the coefficients [1/2, lam^2/2].
     """
 
     def __init__(self, p: ModelParams, rows: np.ndarray) -> None:
-        n_faces = rows.shape[1] - 1
-        self.left, self.right, self.cells = rows[:, :-1], rows[:, 1:], rows[:, 1:-1]
+        shape = rows.shape[:-1] + (rows.shape[-1] - 1,)
+        self.left, self.right, self.cells = rows[..., :-1], rows[..., 1:], rows[..., 1:-1]
         self.sum_coef = np.array([[0.5], [0.5 * p.lam**2]])
         self.half_lam = 0.5 * p.lam
-        self.terms = np.empty((2, n_faces))
-        self.swapped = self.terms[::-1]
-        self.fluxes = np.empty((2, n_faces))
-        self.east, self.west = self.fluxes[:, 1:], self.fluxes[:, :-1]
-        self.change = np.empty((2, n_faces - 1))
+        self.terms = np.empty(shape)
+        self.swapped = self.terms[..., ::-1, :]
+        self.fluxes = np.empty(shape)
+        self.east, self.west = self.fluxes[..., 1:], self.fluxes[..., :-1]
+        self.change = np.empty(self.cells.shape)
 
     def step(self, dt_dx: float) -> None:
         terms, fluxes = self.terms, self.fluxes
@@ -167,9 +178,10 @@ class _Closure:
         return np.subtract(out, grad, out=out)
 
 
-def _relax(v: np.ndarray, target: np.ndarray, weight: float, scratch: np.ndarray) -> None:
-    # v <- target + w (v - target), in place; this form keeps equilibria exact,
-    # and w = eps^2/(eps^2 + dt) = 0 at eps = 0 lands v on the limit closure
+def _relax(v: np.ndarray, target: np.ndarray, weight, scratch: np.ndarray) -> None:
+    # v <- target + w (v - target), in place, with one weight per row of v;
+    # this form keeps equilibria exact, and w = eps^2/(eps^2 + dt) = 0 at
+    # eps = 0 lands v on the limit closure
     np.subtract(v, target, out=scratch)
     np.multiply(weight, scratch, out=scratch)
     np.add(target, scratch, out=v)
@@ -226,14 +238,14 @@ class _ClosureRate:
         self.speed = flux_derivative(p.flux, p.a, ubar)
         self.lam2 = p.lam**2
         self.two_dx = 2.0 * dx
-        self.padded = rate_padded
+        self.refresh_ghosts = _Ghosts(rate_padded)
         self.rate, self.east, self.west = rate_padded[1:-1], rate_padded[2:], rate_padded[:-2]
         self.diffusive = np.empty(len(ubar))
         self.out = out
 
     def __call__(self) -> np.ndarray:
         diffusive, out = self.diffusive, self.out
-        _refresh_ghosts(self.padded)
+        self.refresh_ghosts()
         np.subtract(self.east, self.west, out=diffusive)
         np.multiply(self.lam2, diffusive, out=diffusive)
         np.divide(diffusive, self.two_dx, out=diffusive)
@@ -244,8 +256,9 @@ class _ClosureRate:
 class _PairRates:
     """Method-of-lines rates of the ghost-padded pairs in ``rows``, into ``out``.
 
-    ``relaxed`` flags each pair: the relaxed pair (u, v), which comes first,
-    or the limit pair (ubar, vbar).  Terms are formed and summed as written:
+    ``rows`` holds one relaxed pair (u, v) per entry of ``epsilons``, then,
+    with ``limit``, the limit pair (ubar, vbar).  Terms are formed and summed
+    as written:
         du/dt = -(v_{i+1} - v_{i-1})/(2dx) + lam ((u_{i+1} - 2u_i) + u_{i-1})/(2dx)
         dv/dt = -lam^2 (u_{i+1} - u_{i-1})/(2dx eps^2)
                 + lam ((v_{i+1} - 2v_i) + v_{i-1})/(2dx) + (f(u) - v)/eps^2
@@ -254,21 +267,28 @@ class _PairRates:
     One ufunc call per operation serves all rows (the jumps of a pair swapped).
     """
 
-    def __init__(self, p: ModelParams, dx: float, rows: np.ndarray, relaxed: tuple[bool, ...]) -> None:
+    def __init__(
+        self, p: ModelParams, dx: float, rows: np.ndarray, epsilons: tuple[float, ...], limit: bool
+    ) -> None:
         n = rows.shape[1] - 2
-        n_rates = 2 * len(relaxed) - (not relaxed[-1])
+        eps2 = [eps**2 for eps in epsilons]
+        n_pairs = len(eps2) + limit
+        n_rates = 2 * n_pairs - limit
         self.jump_ends = rows[:, 2:], rows[:, :-2]
         self.east, self.center, self.west = rows[:n_rates, 2:], rows[:n_rates, 1:-1], rows[:n_rates, :-2]
-        self.jumps, self.first = np.empty((2, len(relaxed), 2, n))
+        self.jumps, self.first = np.empty((2, n_pairs, 2, n))
         self.flat_jumps, self.swapped = self.jumps.reshape(-1, n), self.jumps[:, ::-1]
         self.first_rates = self.first.reshape(-1, n)[:n_rates]
         self.second = np.empty((n_rates, n))
         self.lam, self.two_dx = p.lam, 2.0 * dx
-        self.coef = np.array([[[-1.0], [-p.lam**2 if r else 0.0]] for r in relaxed])
-        self.denom = np.array([[[2.0 * dx], [2.0 * dx * p.eps**2 if r else 2.0 * dx]] for r in relaxed])
-        self.relaxed = relaxed[0]
-        self.flux, self.a, self.eps2 = p.flux, p.a, p.eps**2
-        self.source = np.empty(n)
+        self.coef = np.array([[[-1.0], [-p.lam**2]]] * len(eps2) + [[[-1.0], [0.0]]] * limit)
+        self.denom = np.array(
+            [[[2.0 * dx], [2.0 * dx * e2]] for e2 in eps2] + [[[2.0 * dx], [2.0 * dx]]] * limit
+        )
+        self.n_relaxed = r = 2 * len(eps2)
+        self.relaxed_u, self.relaxed_v = self.center[0:r:2], self.center[1:r:2]
+        self.flux, self.a, self.eps2 = p.flux, p.a, np.array(eps2)[:, None]
+        self.source = np.empty((len(eps2), n))
 
     def __call__(self, out: np.ndarray) -> np.ndarray:
         first, second = self.first, self.second
@@ -281,55 +301,71 @@ class _PairRates:
         np.multiply(self.lam, second, out=second)
         np.divide(second, self.two_dx, out=second)
         np.add(self.first_rates, second, out=out)
-        if self.relaxed:
-            source = flux_eval(self.flux, self.a, self.center[0], out=self.source)
-            np.subtract(source, self.center[1], out=source)
+        if self.n_relaxed:
+            dv_dt = out[1 : self.n_relaxed : 2]
+            source = flux_eval(self.flux, self.a, self.relaxed_u, out=self.source)
+            np.subtract(source, self.relaxed_v, out=source)
             np.divide(source, self.eps2, out=source)
-            np.add(out[1], source, out=out[1])
+            np.add(dv_dt, source, out=dv_dt)
         return out
 
 
 class PairMarch:
-    """The relaxed pair and its eps -> 0 limit, marched in place side by side.
+    """Relaxed pairs and their shared eps -> 0 limit, marched in place side by side.
 
-    u, v, ubar and vbar are the rows of one float64 block of shape (4, n+2),
-    each with one copy ghost per side; the attributes ``u``, ``v``, ``ubar``
-    and ``vbar`` view their cells.  Two steppers share the block and the dt.
-    One step of the splitting scheme is
+    One relaxed pair (u, v) per entry of ``epsilons`` (default: ``p.eps``
+    alone) and the one limit pair (ubar, vbar) are the rows
+    u_1, v_1, ..., u_k, v_k, ubar, vbar of one float64 block of shape
+    (2k+2, n+2), each with one copy ghost per side; ``pairs`` views it as
+    (k+1, 2, n+2).  Every relaxed pair starts from (u, v) and differs from
+    the others only in its eps: the per-eps constants are columns, one entry
+    per row, so no kernel mixes rows.  ``ubar`` and ``vbar`` view the limit
+    cells; ``u`` and ``v`` view the relaxed cells, one row per eps, or the
+    cells themselves when there is one eps.  Two steppers share the block
+    and the dt.  One step of the splitting scheme is
 
-        limit_rate()  dubar/dt of the current limit pair
-        convect()     explicit half: HLL convection of (u, v), then the
-                      forward-Euler limit update ubar += dt dubar/dt
+        convect()     explicit half: HLL convection of every (u, v), then
+                      the forward-Euler limit update ubar += dt dubar/dt
         relax()       implicit half: one centered gradient of (u, ubar)
-                      gives the relaxation target of v and the closure vbar
+                      gives the relaxation targets of v and the closure vbar
 
     and one step of the semi-discrete scheme is ``rk4_step()``: classical
-    RK4 of both method-of-lines pairs, vbar re-closed after every stage.
-    Neither allocates nor checks finiteness: that is ``check_finite()``, for
-    the caller to run where it reads the cells.  With ``curvature`` the march
-    also serves ``closure_rates()``, the fields behind the K norms.
+    RK4 of all method-of-lines pairs, vbar re-closed after every stage.
+    ``limit_rate()`` returns dubar/dt of the current limit pair; convect()
+    computes it itself unless limit_rate() already did for this state.
+    Neither stepper allocates nor checks finiteness: that is
+    ``finite_pairs()``, for the caller to run where it reads the cells.
+    With ``curvature`` the march also serves ``closure_rates()``, the fields
+    behind the K norms.
     """
 
     def __init__(
         self, p: ModelParams, grid: Grid, dt: float,
         u: np.ndarray, v: np.ndarray, ubar: np.ndarray, vbar: np.ndarray,
-        curvature: bool = False,
+        curvature: bool = False, epsilons: tuple[float, ...] | None = None,
     ) -> None:
         n = grid.n_cells
-        self.block = block = _padded(u, v, ubar, vbar)
-        self.u, self.v, self.ubar, self.vbar = block[:, 1:-1]
-        self.relaxed, self.limit = block[:2, 1:-1], block[2:, 1:-1]
+        epsilons = (p.eps,) if epsilons is None else tuple(epsilons)
+        k = len(epsilons)
+        self.block = block = _padded(*(u, v) * k, ubar, vbar)
+        self.pairs = pairs = block.reshape(k + 1, 2, n + 2)
+        self.relaxed, self.limit = pairs[:k, :, 1:-1], pairs[k, :, 1:-1]
+        self.ubar, self.vbar = self.limit
+        self.u, self.v = self.relaxed[0] if k == 1 else self.relaxed.transpose(1, 0, 2)
+        self._v_rows = self.relaxed[:, 1]
+        self._refresh_ghosts = _Ghosts(block)
         self._dt = dt
         self._dt_dx = dt / grid.dx
-        self._weight = p.eps**2 / (p.eps**2 + dt)
-        self._hll = _HLLConvection(p, block[:2])
-        self._rate = _LimitRate(p, grid.dx, block[2:], curvature)
-        targets = np.empty((2, n))  # the relaxation target of v, the closure vbar
-        self._target, self._closed_vbar = targets
-        self._closure = _Closure(
-            p, grid.dx, block[::2], ((1.0 - p.eps**2) * p.lam**2, p.lam**2), targets
-        )
-        self._scratch = np.empty(n)
+        self._weight = np.array([[eps**2 / (eps**2 + dt)] for eps in epsilons])
+        self._hll = _HLLConvection(p, pairs[:k])
+        self._rate = _LimitRate(p, grid.dx, block[-2:], curvature)
+        self._rate_current = False
+        # the relaxation targets of the v rows, then the closure vbar
+        self._targets = np.empty((k + 1, n))
+        coefs = [(1.0 - eps**2) * p.lam**2 for eps in epsilons] + [p.lam**2]
+        self._closure = _Closure(p, grid.dx, block[::2], coefs, self._targets)
+        self._scratch = np.empty((k, n))
+        self._increment = np.empty(n)
         if curvature:
             self._k_fields = np.empty((2, n))
             self._closure_rate = _ClosureRate(
@@ -338,57 +374,70 @@ class PairMarch:
             self._vbar_second = self._rate.second[1]
             self._dx2 = grid.dx * grid.dx
         self._stage = stage = np.empty_like(block)
-        self._k = np.empty((4, 3, n))  # RK4 rates of u, v and ubar
-        self._rates = [_PairRates(p, grid.dx, b, (True, False)) for b in (block, stage)]
-        self._closures = [_Closure(p, grid.dx, b[2:3], (p.lam**2,), b[3:, 1:-1]) for b in (block, stage)]
+        self._k = np.empty((4, 2 * k + 1, n))  # RK4 rates of every row but vbar
+        self._rates = [_PairRates(p, grid.dx, b, epsilons, limit=True) for b in (block, stage)]
+        self._closings = [
+            (
+                _Ghosts(b[:-1]),
+                _Closure(p, grid.dx, b[-2:-1], (p.lam**2,), b[-1:, 1:-1]),
+                _Ghosts(b[-1]),
+            )
+            for b in (block, stage)
+        ]
 
     def limit_rate(self) -> np.ndarray:
         """dubar/dt of the current limit pair, as used by the next convect()."""
+        self._rate_current = True
         return self._rate()
 
     def convect(self) -> None:
-        """Explicit half step; limit_rate() must have been called for this step."""
+        """Explicit half step of every pair."""
+        if not self._rate_current:
+            self._rate()
+        self._rate_current = False
         self._hll.step(self._dt_dx)
-        np.multiply(self._dt, self._rate.rate, out=self._scratch)
-        np.add(self.ubar, self._scratch, out=self.ubar)
-        _refresh_ghosts(self.block)
+        np.multiply(self._dt, self._rate.rate, out=self._increment)
+        np.add(self.ubar, self._increment, out=self.ubar)
+        self._refresh_ghosts()
 
     def relax(self) -> None:
-        """Implicit half step: relaxation solve of v, algebraic closure of vbar."""
+        """Implicit half step: relaxation solve of every v, algebraic closure of vbar."""
+        self._rate_current = False
         self._closure()
-        _relax(self.v, self._target, self._weight, self._scratch)
-        np.copyto(self.vbar, self._closed_vbar)
-        _refresh_ghosts(self.block)
+        _relax(self._v_rows, self._targets[:-1], self._weight, self._scratch)
+        np.copyto(self.vbar, self._targets[-1])
+        self._refresh_ghosts()
 
     def rk4_step(self) -> None:
-        """Classical RK4 step of both method-of-lines pairs, vbar re-closed per stage.
+        """Classical RK4 step of all method-of-lines pairs, vbar re-closed per stage.
 
         Stages y0 + (dt/2) k and y0 + dt k, then y0 + (((k1 + 2 k2) + 2 k3) + k4) dt/6.
         """
-        k, y0, y = self._k, self.block[:3, 1:-1], self._stage[:3, 1:-1]
+        self._rate_current = False
+        k, y0, y = self._k, self.block[:-1, 1:-1], self._stage[:-1, 1:-1]
         self._rates[0](k[0])
         for i, h in enumerate((0.5 * self._dt, 0.5 * self._dt, self._dt)):
             np.multiply(h, k[i], out=y)
             np.add(y0, y, out=y)
-            self._close(self._stage, self._closures[1])
+            self._close(1)
             self._rates[1](k[i + 1])
         np.multiply(2.0, k[1:3], out=k[1:3])
         for i in (1, 2, 3):
             np.add(k[0], k[i], out=k[0])
         np.multiply(self._dt / 6.0, k[0], out=k[0])
         np.add(y0, k[0], out=y0)
-        self._close(self.block, self._closures[0])
+        self._close(0)
 
-    @staticmethod
-    def _close(block: np.ndarray, closure: _Closure) -> None:
-        _refresh_ghosts(block[:3])
-        closure()
-        _refresh_ghosts(block[3])
+    def _close(self, which: int) -> None:
+        # the ghosts of every row but vbar, vbar re-closed, then its ghosts
+        for step in self._closings[which]:
+            step()
 
-    def check_finite(self) -> None:
-        """Raise ``InstabilityError`` unless every cell is finite."""
-        if not np.isfinite(self.block).all():
-            raise InstabilityError("non-finite cell values: unstable step size or blow-up")
+    def finite_pairs(self) -> list[bool]:
+        """Per relaxed pair, whether its cells and those of the limit pair are all finite."""
+        finite = np.isfinite(self.block).reshape(len(self.pairs), -1)
+        *pairs, limit = np.logical_and.reduce(finite, axis=1).tolist()
+        return [pair and limit for pair in pairs]
 
     def closure_rates(self) -> np.ndarray:
         """Rows dvbar/dt and D_xx vbar of the current limit pair, after limit_rate().
@@ -399,9 +448,9 @@ class PairMarch:
         np.divide(self._vbar_second, self._dx2, out=self._k_fields[1])
         return self._k_fields
 
-    def states(self, t: float) -> tuple[HyperbolicState, LimitState]:
-        """Copies of the current pairs, stamped with time t."""
-        u, v, ubar, vbar = self.block[:, 1:-1].copy()
+    def states(self, t: float, row: int = 0) -> tuple[HyperbolicState, LimitState]:
+        """Copies of relaxed pair ``row`` and of the limit pair, stamped with time t."""
+        (u, v), (ubar, vbar) = self.pairs[[row, -1], :, 1:-1]
         return HyperbolicState(u=u, v=v, t=t), LimitState(ubar=ubar, vbar=vbar, t=t)
 
 
@@ -412,7 +461,8 @@ def semi_discrete_rhs(p: ModelParams, grid: Grid, state: HyperbolicState) -> np.
     """
     if p.eps <= 0:
         raise ValueError("the semi-discrete relaxed system requires eps > 0")
-    return _PairRates(p, grid.dx, _padded(state.u, state.v), (True,))(np.empty((2, grid.n_cells)))
+    rates = _PairRates(p, grid.dx, _padded(state.u, state.v), (p.eps,), limit=False)
+    return rates(np.empty((2, grid.n_cells)))
 
 
 ALGEBRAIC_TOL = 1e-12
@@ -431,6 +481,6 @@ def limit_semi_discrete_rhs(p: ModelParams, grid: Grid, state: LimitState):
         raise ValueError(f"limit state violates the algebraic closure by {gap:.3e}")
     block = _padded(state.ubar, vbar)
     rate = np.empty((1, grid.n_cells + 2))
-    dubar_dt = _PairRates(p, grid.dx, block, (False,))(rate[:, 1:-1])[0]
+    dubar_dt = _PairRates(p, grid.dx, block, (), limit=True)(rate[:, 1:-1])[0]
     dvbar_dt = _ClosureRate(p, grid.dx, block[0, 1:-1], rate[0], np.empty(grid.n_cells))()
     return dubar_dt, dvbar_dt

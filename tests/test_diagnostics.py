@@ -23,8 +23,8 @@ def random_smooth(rng, x, scale=1.0):
 
 
 def ghost_padded(hyp, lim):
-    """The rows (u, v, ubar, vbar), each with a copy ghost per side."""
-    return np.array([model.pad_edges(w) for w in (hyp.u, hyp.v, lim.ubar, lim.vbar)])
+    """The pairs (u, v) and (ubar, vbar), each row with a copy ghost per side."""
+    return np.array([model.pad_edges(w) for w in (hyp.u, hyp.v, lim.ubar, lim.vbar)]).reshape(2, 2, -1)
 
 
 def weighted_error(p, grid, hyp, lim):
@@ -215,7 +215,7 @@ class TestResidualChecks:
         march = schemes.PairMarch(p, grid, step.dt, u, v, ub, vb)
         acc = ResidualIntegrals(dx=grid.dx)
         for _ in range(step.n_steps):
-            acc.add(p, grid, march.block, step.dt)
+            acc.add(p, grid, *march.pairs, step.dt)
             march.rk4_step()
         return p, acc
 
@@ -236,7 +236,7 @@ class TestResidualChecks:
         lim = LimitState(ubar=ubar, vbar=model.equilibrium_v(base_params, grid, ubar), t=0.0)
         hyp = HyperbolicState(u=ubar.copy(), v=lim.vbar.copy(), t=0.0)
         for _ in range(3):
-            acc.add(base_params, grid, ghost_padded(hyp, lim), 0.01)
+            acc.add(base_params, grid, *ghost_padded(hyp, lim), 0.01)
         report = diagnostics.residual_sign_checks(acc, base_params)
         assert report.all_ok
         assert acc.int_r1 == 0.0 and acc.int_r2 == 0.0

@@ -32,6 +32,16 @@ CASES = {
         "study", "--flux", "burgers", "--lambda", "3", "--eps-list", "1e-1,5e-2,2.5e-2",
         "--nx", "100", "--tfinal", "0.02",
     ],
+    # sweeps whose points split into grid-and-step groups: three eps share
+    # 64 cells and one runs alone on 100; under the semi-discrete step only
+    # eps 0.1 and 0.05 share one
+    "study_mixed_grids": [
+        "study", "--eps-list", "1e-1,5e-2,2.5e-2,1e-2", "--nx", "64", "--tfinal", "0.02",
+    ],
+    "study_semi_discrete": [
+        "study", "--eps-list", "1e-1,5e-2,2.5e-2,1e-2", "--nx", "64", "--tfinal", "0.02",
+        "--scheme", "semi-discrete",
+    ],
     # the README run: initial and final profiles plus the series
     "run_readme": [
         "run", "--eps", "1", "--lambda", "0.72", "--a", "0.5", "--nx", "200",

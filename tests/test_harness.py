@@ -1,10 +1,12 @@
 import math
 import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from jinxin import diagnostics, harness
+from jinxin import diagnostics, harness, model, schemes
+from jinxin.diagnostics import ErrorSeries
 from jinxin.harness import (
     BoundaryReachWarning,
     ConfigError,
@@ -13,10 +15,27 @@ from jinxin.harness import (
     fit_rate,
     load_config_file,
     make_config,
+    run_group,
     run_pair,
     study_cells,
     write_study,
 )
+
+from conftest import split_steps
+
+
+def assert_same_run(got, expected):
+    """Every output of two runs equal, bit for bit (NaN K norms equal NaN)."""
+    for f in fields(ErrorSeries):
+        a, b = getattr(got.series, f.name), getattr(expected.series, f.name)
+        assert np.array_equal(a, b, equal_nan=True), f.name
+    for a, b in ((got.hyp, expected.hyp), (got.lim, expected.lim)):
+        for f in fields(a):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+    assert got.mass == expected.mass
+    assert got.residual_integrals == expected.residual_integrals
+    assert got.identity_rel_max == expected.identity_rel_max
+    assert (got.config, got.grid, got.step) == (expected.config, expected.grid, expected.step)
 
 
 class TestConfig:
@@ -339,3 +358,99 @@ class TestConvergenceStudy:
         assert result.failures[0][1].startswith("non-finite error norms")
         assert result.epsilons == [2.5e-2, 1.25e-2]
         assert np.isfinite(result.errors).all() and np.isfinite(result.l2_errors).all()
+
+
+class TestRunGroup:
+    @pytest.mark.parametrize("scheme", ["jpt", "semi-discrete"])
+    @pytest.mark.parametrize("flux, lam, t_final", [("linear", 0.72, 0.02), ("burgers", 3.0, 0.005)])
+    def test_study_errors_equal_lone_runs(self, flux, lam, t_final, scheme, monkeypatch):
+        cfg = RunConfig(flux=flux, lam=lam, n_cells=64, t_final=t_final, well_prepared=True, scheme=scheme)
+        epsilons = (1e-1, 5e-2, 2.5e-2, 1e-2)
+        sizes = []
+        real = harness.run_group
+
+        def spy(config, group, accumulate):
+            sizes.append(len(group))
+            return real(config, group, accumulate)
+
+        monkeypatch.setattr(harness, "run_group", spy)
+        study = convergence_study(cfg, epsilons)
+        assert sum(sizes) == len(epsilons) and max(sizes) >= 2  # some points march together
+        lone = [
+            run_pair(replace(cfg, eps=eps, n_cells=study_cells(cfg, eps)), accumulate=())
+            for eps in epsilons
+        ]
+        assert study.errors == [r.weighted_err_sq for r in lone]
+        assert study.l2_errors == [r.l2err_sq for r in lone]
+
+    @pytest.mark.parametrize("scheme", ["jpt", "semi-discrete"])
+    def test_one_eps_group_is_run_pair(self, scheme):
+        cfg = RunConfig(eps=0.5, n_cells=40, t_final=0.01, scheme=scheme, record_every=7)
+        (grouped,) = run_group(cfg, (cfg.eps,))
+        assert_same_run(grouped, run_pair(cfg))
+
+    @pytest.mark.parametrize("scheme", ["jpt", "semi-discrete"])
+    def test_every_row_equals_its_lone_run(self, scheme):
+        # 336 steps span more than one chunk of the running sums (at most
+        # 256 steps each), with records on both sides of a flush
+        cfg = RunConfig(n_cells=64, t_final=0.15, scheme=scheme, record_every=7)
+        epsilons = (0.1, 0.07, 0.05)
+        grouped = run_group(cfg, epsilons)
+        assert grouped[0].step.n_steps > 256
+        for eps, result in zip(epsilons, grouped):
+            assert_same_run(result, run_pair(replace(cfg, eps=eps)))
+
+    def test_running_sums_match_a_step_by_step_sum(self):
+        # the chunked reduction adds the same terms in the same order as a
+        # running float sum updated once per step
+        cfg = RunConfig(eps=0.1, n_cells=64, t_final=0.15, record_every=7)
+        result = run_pair(cfg, accumulate=())
+        p, grid = cfg.params(), cfg.grid()
+        step = schemes.marching_dt(p, grid)
+        dt, dx = step.dt, grid.dx
+        march = schemes.PairMarch(p, grid, dt, *model.riemann_initial(p, grid, 2.0, 1.0))
+        l2 = weighted = inflow = 0.0
+        l2_rec, weighted_rec = [], []
+        for k in range(step.n_steps):
+            if k % 7 == 0:
+                l2_rec.append(l2)
+                weighted_rec.append(weighted)
+            du, dv = march.u - march.ubar, march.v - march.vbar
+            du2, dv2, cross = float((du * du).sum()), float((dv * dv).sum()), float((du * dv).sum())
+            l2 += dt * dx * (du2 + dv2)
+            weighted += dt * dx * (0.5 * p.lam**2 * du2 + 0.5 * p.eps**2 * dv2 - p.eps**2 * p.a * cross)
+            inflow += dt * (float(march.v[0]) - float(march.v[-1]))
+            split_steps(march)
+        assert step.n_steps > 256  # more than one chunk of the running sums
+        assert result.series.l2err_sq.tolist() == l2_rec + [l2]
+        assert result.series.weighted_sq.tolist() == weighted_rec + [weighted]
+        assert result.mass.boundary_inflow == inflow
+
+    @pytest.mark.parametrize("scheme", ["jpt", "semi-discrete"])
+    def test_a_failed_row_stays_in_its_row(self, scheme, monkeypatch):
+        cfg = RunConfig(n_cells=64, t_final=0.02, well_prepared=True, scheme=scheme)
+        epsilons = (0.1, 0.07, 0.05)
+        lone = [run_pair(replace(cfg, eps=eps)) for eps in epsilons]
+
+        class Poisoned(schemes.PairMarch):
+            """A march whose second relaxed pair starts with an inf cell."""
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.u[1, 20] = np.inf
+
+        monkeypatch.setattr(schemes, "PairMarch", Poisoned)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grouped = run_group(cfg, epsilons)
+        assert isinstance(grouped[1], schemes.InstabilityError)
+        assert str(grouped[1]) == "non-finite cell values: unstable step size or blow-up"
+        assert_same_run(grouped[0], lone[0])
+        assert_same_run(grouped[2], lone[2])
+
+    def test_refuses_groups_it_cannot_march_as_one(self, tmp_path):
+        with pytest.raises(ValueError, match="one step size"):
+            run_group(RunConfig(n_cells=64, t_final=0.02, scheme="semi-discrete"), (0.1, 0.01))
+        with pytest.raises(ValueError, match="one eps at a time"):
+            run_group(RunConfig(n_cells=64, t_final=0.02, out_dir=str(tmp_path)), (0.1, 0.05))
+        with pytest.raises(ConfigError, match="subcharacteristic"):
+            run_group(RunConfig(n_cells=64, t_final=0.02), (0.1, 2.0))

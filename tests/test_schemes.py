@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -114,16 +116,16 @@ class TestHLLStep:
 
     def test_instability_signalled(self, base_params):
         # no step checks its cells: an inf stays non-finite through a full
-        # splitting step, and check_finite() reports it
+        # splitting step, and finite_pairs() reports it
         grid = Grid(n_cells=10)
         state = constant_equilibrium(base_params, grid, 1.0)
         march = pair_march(base_params, grid, 1e-3, state.u, state.v)
+        assert march.finite_pairs() == [True]
         march.u[3] = np.inf
         with np.errstate(invalid="ignore"):
             split_steps(march)
         assert not np.isfinite(march.u).all()
-        with pytest.raises(schemes.InstabilityError, match="non-finite cell values"):
-            march.check_finite()
+        assert march.finite_pairs() == [False]
 
 
 class TestRelaxationStep:
@@ -481,3 +483,46 @@ class TestPairMarch:
         assert np.allclose(dvbar_dt, dvb, rtol=1e-12, atol=1e-12 * np.abs(dvb).max())
         ext = model.pad_edges(vbar)
         assert np.allclose(dxx_vbar, (ext[2:] - 2.0 * vbar + ext[:-2]) / grid.dx**2, rtol=1e-12)
+
+    @pytest.mark.parametrize("stepper", ["splitting", "rk4"])
+    @pytest.mark.parametrize("flux, lam", [("linear", 0.72), ("burgers", 3.0)])
+    def test_each_eps_row_marches_as_if_alone(self, flux, lam, stepper):
+        # three relaxed pairs beside one limit pair in one block: no kernel
+        # mixes rows, so every pair matches its lone march bit for bit
+        epsilons = (0.1, 0.07, 0.05)
+        p = ModelParams(eps=epsilons[0], lam=lam, a=0.5, flux=flux)
+        grid = Grid(n_cells=40)
+        u, v, ub, vb = model.riemann_initial(p, grid, 2.0, 1.0)
+        rule = schemes.marching_dt if stepper == "splitting" else schemes.semi_discrete_dt
+        dt = min(rule(replace(p, eps=eps), grid).dt for eps in epsilons)
+        group = schemes.PairMarch(p, grid, dt, u, v, ub, vb, epsilons=epsilons)
+        alone = [schemes.PairMarch(replace(p, eps=eps), grid, dt, u, v, ub, vb) for eps in epsilons]
+        for _ in range(30):
+            for march in (group, *alone):
+                split_steps(march) if stepper == "splitting" else march.rk4_step()
+        assert group.u.shape == group.v.shape == (3, 40)
+        for i, march in enumerate(alone):
+            assert np.array_equal(group.pairs[i], march.pairs[0]), i
+            assert np.array_equal(group.pairs[-1], march.pairs[-1]), i
+
+    def test_convect_computes_the_limit_rate_itself(self):
+        # a fresh march's first convect() without limit_rate() moves ubar
+        # exactly as one after it, on every fresh march, and a march that
+        # never calls limit_rate() keeps in step with split_steps
+        p = ModelParams(eps=0.1, lam=0.72, a=0.5)
+        grid = Grid(n_cells=40)
+        u, v, ub, vb = model.riemann_initial(p, grid, 2.0, 1.0)
+        dt = schemes.marching_dt(p, grid).dt
+        for _ in range(3):
+            bare = schemes.PairMarch(p, grid, dt, u, v, ub, vb)
+            primed = schemes.PairMarch(p, grid, dt, u, v, ub, vb)
+            bare.convect()
+            primed.limit_rate()
+            primed.convect()
+            assert np.array_equal(bare.block, primed.block)
+        bare = schemes.PairMarch(p, grid, dt, u, v, ub, vb)
+        for _ in range(5):
+            bare.convect()
+            bare.relax()
+        primed = split_steps(schemes.PairMarch(p, grid, dt, u, v, ub, vb), 5)
+        assert np.array_equal(bare.block, primed.block)
