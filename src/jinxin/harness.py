@@ -337,6 +337,8 @@ def run_group(
     if not set(accumulate) <= set(ACCUMULATORS):
         raise ValueError(f"unknown accumulators in {accumulate!r}, expected some of {ACCUMULATORS}")
     configs = [replace(config, eps=eps) for eps in epsilons]
+    if not configs:
+        raise ValueError("a march needs at least one eps")
     for run_cfg in configs:
         run_cfg.validate()
     out_dir = Path(config.out_dir) if config.out_dir is not None else None

@@ -448,6 +448,8 @@ class TestRunGroup:
         assert_same_run(grouped[2], lone[2])
 
     def test_refuses_groups_it_cannot_march_as_one(self, tmp_path):
+        with pytest.raises(ValueError, match="at least one eps"):
+            run_group(RunConfig(n_cells=64, t_final=0.02), ())
         with pytest.raises(ValueError, match="one step size"):
             run_group(RunConfig(n_cells=64, t_final=0.02, scheme="semi-discrete"), (0.1, 0.01))
         with pytest.raises(ValueError, match="one eps at a time"):
