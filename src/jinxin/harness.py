@@ -205,20 +205,24 @@ def _format(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _write_rows(path: str | Path, header: str, columns) -> None:
+    """``header``, then one line per row of ``columns`` (17 significant digits)."""
+    values = np.stack(columns, axis=1)
+    line = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    Path(path).write_text(header + "\n" + (line * len(values)) % tuple(values.ravel().tolist()))
+
+
 def write_profile(path: str | Path, grid: Grid, hyp: HyperbolicState, lim: LimitState) -> None:
     """One row per cell: x, u, v, ubar, vbar (17 significant digits)."""
-    lines = ["x,u,v,ubar,vbar"]
-    for x, u, v, ub, vb in zip(grid.centers, hyp.u, hyp.v, lim.ubar, lim.vbar):
-        lines.append(",".join(_format(w) for w in (x, u, v, ub, vb)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_rows(path, "x,u,v,ubar,vbar", (grid.centers, hyp.u, hyp.v, lim.ubar, lim.vbar))
 
 
 def write_series(path: str | Path, series: ErrorSeries) -> None:
     """One row per recorded step: t, phi, cumulative error and K norms."""
-    lines = ["t,phi,l2err_sq,k_dvbar_sq,k_dxxvbar_sq"]
-    for row in zip(series.t, series.phi, series.l2err_sq, series.k_dvbar_sq, series.k_dxxvbar_sq):
-        lines.append(",".join(_format(w) for w in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_rows(
+        path, "t,phi,l2err_sq,k_dvbar_sq,k_dxxvbar_sq",
+        (series.t, series.phi, series.l2err_sq, series.k_dvbar_sq, series.k_dxxvbar_sq),
+    )
 
 
 ACCUMULATORS = ("k-norms", "entropy", "residuals")
@@ -564,46 +568,55 @@ class StudyResult:
     failures: list[tuple[float, str]] = field(default_factory=list)
 
 
+def _march_sweep(configs: list[RunConfig], accumulate) -> list[RunResult | Exception]:
+    """March each config of an eps sweep; the eps sharing a grid and a step march as one group.
+
+    The configs differ only in eps and n_cells.  Every config is validated
+    before any marching; the valid ones are grouped by (n_cells, step), in
+    order of first appearance, and each group is one ``run_group``.  Returns,
+    per config in order, its ``RunResult``, or the ``ConfigError`` or
+    ``InstabilityError`` that stopped it.
+    """
+    outcomes: list[RunResult | Exception | None] = [None] * len(configs)
+    groups: dict[tuple[int, StepSize], list[int]] = {}
+    for i, run_cfg in enumerate(configs):
+        try:
+            run_cfg.validate()
+        except ConfigError as exc:
+            outcomes[i] = exc
+            continue
+        groups.setdefault((run_cfg.n_cells, _step_size(run_cfg)), []).append(i)
+    for members in groups.values():
+        group = [configs[i].eps for i in members]
+        for i, outcome in zip(members, run_group(configs[members[0]], group, accumulate=accumulate)):
+            outcomes[i] = outcome
+    return outcomes
+
+
 def convergence_study(config: RunConfig, epsilons=DEFAULT_EPS_SWEEP) -> StudyResult:
     """Run the paired simulation per eps and fit the decay rate.
 
-    Each eps gets the grid rule's resolution.  Every eps is validated first;
-    the points that share a grid and a step then march together, one
-    ``run_group`` each, with results identical to lone runs.  Failures are
-    recorded and the sweep continues.  Results are keyed by eps, in
-    decreasing order.  When fewer than two points survive, the slope and
-    intercept are NaN and the failures say why.
+    Each eps gets the grid rule's resolution.  The eps that share a grid and
+    a step march as one group (``_march_sweep``), with results identical to
+    lone runs.  Failures are recorded and the sweep continues.  Results are
+    keyed by eps, in decreasing order.  When fewer than two points survive,
+    the slope and intercept are NaN and the failures say why.
     """
     sweep = sorted(set(float(e) for e in epsilons), reverse=True)
     if len(sweep) < 2:
         raise ValueError("rate fit needs at least two points")
-    outcomes: dict[float, RunResult | Exception] = {}
-    groups: dict[tuple[int, StepSize], list[float]] = {}
-    for eps in sweep:
-        run_cfg = replace(
-            config,
-            eps=eps,
-            n_cells=study_cells(config, eps),
-            record_every=0,
-            out_dir=None,
-        )
-        try:
-            run_cfg.validate()
-        except ConfigError as exc:
-            outcomes[eps] = exc
-            continue
-        groups.setdefault((run_cfg.n_cells, _step_size(run_cfg)), []).append(eps)
-    for (n_cells, _), group in groups.items():
-        base = replace(config, n_cells=n_cells, record_every=0, out_dir=None)
-        outcomes.update(zip(group, run_group(base, group, accumulate=())))
+    configs = [
+        replace(config, eps=eps, n_cells=study_cells(config, eps), record_every=0, out_dir=None)
+        for eps in sweep
+    ]
+    outcomes = _march_sweep(configs, accumulate=())
 
     kept_eps: list[float] = []
     errors: list[float] = []
     l2_errors: list[float] = []
     cells: list[int] = []
     failures: list[tuple[float, str]] = []
-    for eps in sweep:
-        outcome = outcomes[eps]
+    for eps, outcome in zip(sweep, outcomes):
         if isinstance(outcome, Exception):
             failures.append((eps, str(outcome)))
             continue
@@ -709,16 +722,20 @@ def verify_residuals(config: RunConfig) -> CheckOutcome:
 
 
 def verify_theorem(config: RunConfig, eps_values=(0.1, 0.05, 0.025)) -> CheckOutcome:
-    """Stability bound on well-prepared semi-discrete runs of ``config`` at each eps."""
+    """Stability bound on well-prepared semi-discrete runs of ``config`` at each eps.
+
+    The eps that share the grid's step march as one group (``_march_sweep``);
+    the first failed run, in ``eps_values`` order, raises.
+    """
+    base = replace(config, scheme=SEMI_DISCRETE, well_prepared=True, record_every=1, out_dir=None)
+    results = _march_sweep([replace(base, eps=eps) for eps in eps_values], accumulate=("k-norms",))
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
     lines: list[str] = []
     ok = True
-    for eps in eps_values:
-        run_cfg = replace(
-            config, eps=eps, scheme=SEMI_DISCRETE, well_prepared=True,
-            record_every=1, out_dir=None,
-        )
-        result = run_pair(run_cfg, accumulate=("k-norms",))
-        check = diagnostics.theorem_bound_check(result.series, run_cfg.params())
+    for eps, result in zip(eps_values, results):
+        check = diagnostics.theorem_bound_check(result.series, result.config.params())
         ok = ok and check.satisfied
         lines.append(
             f"eps={eps:g}: sup phi {check.sup_phi:.6e} <= bound {check.bound:.6e} "

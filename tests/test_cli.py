@@ -233,6 +233,17 @@ class TestExecution:
         assert "PASS" not in captured.out
         assert captured.err.splitlines() == ["error: non-finite error norms: the squared errors overflow"]
 
+    @pytest.mark.parametrize("u_left, message", [
+        ("1e200", "error: non-finite error norms: the squared errors overflow"),
+        ("1e308", "error: non-finite cell values: unstable step size or blow-up"),
+    ])
+    def test_theorem_blow_up_is_one_error_line(self, u_left, message, capsys):
+        # the three eps march as one group; the first failed one is reported
+        assert cli.main(["verify", "--check", "theorem", "--u-left", u_left]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
+
     @pytest.mark.parametrize("check", ["residuals", "all"])
     def test_residual_check_refuses_a_nonlinear_flux(self, check, capsys):
         # the residual integrals exist for the linear flux only

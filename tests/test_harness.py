@@ -447,6 +447,31 @@ class TestRunGroup:
         assert_same_run(grouped[0], lone[0])
         assert_same_run(grouped[2], lone[2])
 
+    @pytest.mark.parametrize("n_cells, sizes", [(200, [3]), (20, [1, 1, 1])])
+    def test_theorem_runs_equal_lone_runs(self, n_cells, sizes, monkeypatch):
+        # on 200 cells the three eps share one step; on 20 each needs its own
+        epsilons = (0.1, 0.05, 0.025)
+        seen, marched = [], []
+        real = harness.run_group
+
+        def spy(config, group, accumulate):
+            seen.append(len(group))
+            results = real(config, group, accumulate)
+            marched.extend(results)
+            return results
+
+        monkeypatch.setattr(harness, "run_group", spy)
+        assert harness.verify_theorem(RunConfig(eps=0.1, n_cells=n_cells), epsilons).passed
+        assert seen == sizes
+        assert [r.config.eps for r in marched] == list(epsilons)
+        for eps, result in zip(epsilons, marched):
+            cfg = RunConfig(eps=eps, n_cells=n_cells, scheme="semi-discrete", well_prepared=True,
+                            record_every=1)
+            lone = run_pair(cfg, accumulate=("k-norms",))
+            assert result.config == cfg
+            for name in ("phi", "k_dvbar_sq", "k_dxxvbar_sq"):
+                assert getattr(result.series, name).tolist() == getattr(lone.series, name).tolist()
+
     def test_refuses_groups_it_cannot_march_as_one(self, tmp_path):
         with pytest.raises(ValueError, match="at least one eps"):
             run_group(RunConfig(n_cells=64, t_final=0.02), ())
