@@ -122,6 +122,7 @@ def parse_args(argv) -> Command:
             trial = replace(config, eps=eps)
             try:
                 trial.validate()
+                harness.study_cells(trial, eps)
             except ConfigError as exc:
                 parser.error(f"eps={eps:g}: {exc}")
     return Command(

@@ -80,6 +80,8 @@ class RunConfig:
             self.grid()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.scheme == SEMI_DISCRETE and self.eps <= 0:
+            raise ConfigError("semi-discrete integration requires eps > 0")
         for name in ("u_left", "u_right"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -393,7 +395,6 @@ def run_group(
     phi_rec: list[list[float]] = [[] for _ in rows]
     mass0 = grid.dx * float(u0.sum())
     dx = grid.dx
-    t = 0.0
 
     def check_cells() -> bool:
         """Fail the rows whose cells stopped being finite; whether any row is left."""
@@ -411,7 +412,7 @@ def run_group(
             if failed[i] is not None:
                 continue
             phi_rec[i].append(diagnostics.weighted_error_total(params[i], grid, *diff[i]))
-            states = march.states(t, i) if out_dir is not None or entropy else None
+            states = march.states(t_k, i) if out_dir is not None or entropy else None
             if out_dir is not None:
                 write_profile(out_dir / f"profile_{dump_tag}.csv", grid, *states)
             if entropy:
@@ -420,9 +421,10 @@ def run_group(
 
     v_first, v_last = march.relaxed[:, 1, 0], march.relaxed[:, 1, -1]
     record_every, chunk = config.record_every, sums.chunk
+    diff_slots, edge_slots, k_slots = list(sums.diffs), list(sums.edges), list(sums.k_fields)
     j = 0  # the slot of step k in the chunk
     for k in range(n_steps):
-        diff = np.subtract(march.relaxed, march.limit, out=sums.diffs[j])
+        diff = np.subtract(march.relaxed, march.limit, diff_slots[j])
 
         if k == 0 or (record_every > 0 and k % record_every == 0):
             if not check_cells():
@@ -432,7 +434,7 @@ def run_group(
         if k_norms:
             march.limit_rate()
             k_fields = march.closure_rates()  # dvbar/dt and D_xx vbar
-            np.multiply(k_fields, k_fields, out=sums.k_fields[j])
+            np.multiply(k_fields, k_fields, k_slots[j])
 
         if residuals:
             for i in rows:
@@ -441,10 +443,9 @@ def run_group(
         if semi:
             march.rk4_step()
         else:
-            np.subtract(v_first, v_last, out=sums.edges[j])
+            np.subtract(v_first, v_last, edge_slots[j])
             march.convect()
             march.relax()
-        t += dt
         j += 1
         if j == chunk:
             sums.flush(j)
@@ -469,7 +470,7 @@ def run_group(
         if failed[i] is not None:
             outcomes.append(failed[i])
             continue
-        hyp, lim = march.states(t, i)
+        hyp, lim = march.states(p.t_final, i)
         series = ErrorSeries(
             dx=dx,
             t=np.asarray(t_rec),
@@ -519,12 +520,16 @@ def _step_size(config: RunConfig) -> StepSize:
         return schemes.semi_discrete_dt(p, grid)
     return schemes.marching_dt(p, grid)
 
+
 def study_cells(config: RunConfig, eps: float) -> int:
     """Grid rule of the eps sweep: n = max(base, ceil(width / eps)).
 
     Keeps dx <= eps so the dx-dependent residual terms stay subdominant and
-    no resolution floor contaminates the fitted rate.
+    no resolution floor contaminates the fitted rate.  Raises ``ConfigError``
+    for eps <= 0, which no grid resolves.
     """
+    if not eps > 0:
+        raise ConfigError(f"the grid rule dx <= eps needs eps > 0, got {eps:g}")
     width = config.x_max - config.x_min
     n = max(config.n_cells, math.ceil(width / eps))
     if width / n > eps:

@@ -112,20 +112,24 @@ def pad_edges(w: np.ndarray) -> np.ndarray:
     return np.concatenate((w[:1], w, w[-1:]))
 
 
-def flux_eval(flux: str, a: float, u, out: np.ndarray | None = None):
-    """Evaluate the scalar flux: a*u for linear, u^2/2 for Burgers.
-
-    With ``out`` the values of the array ``u`` are written there, without
-    allocating.
-    """
+def flux_eval(flux: str, a: float, u):
+    """Evaluate the scalar flux: a*u for linear, u^2/2 for Burgers."""
     if flux == LINEAR:
-        if out is not None:
-            return np.multiply(a, u, out=out)
         return a * np.asarray(u, dtype=float) if np.ndim(u) else a * u
     if flux == BURGERS:
-        if out is not None:
-            return np.multiply(0.5, np.square(u, out=out), out=out)
         return 0.5 * np.square(u) if np.ndim(u) else 0.5 * u * u
+    raise ValueError(f"unknown flux {flux!r}")
+
+
+def flux_ops(flux: str, a: float, u: np.ndarray, out: np.ndarray) -> tuple:
+    """The flux of the array ``u`` written into ``out``, as (ufunc, operands) calls.
+
+    For a prebuilt op sequence: the same float operations as ``flux_eval``.
+    """
+    if flux == LINEAR:
+        return ((np.multiply, (a, u, out)),)
+    if flux == BURGERS:
+        return ((np.square, (u, out)), (np.multiply, (0.5, out, out)))
     raise ValueError(f"unknown flux {flux!r}")
 
 

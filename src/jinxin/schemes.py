@@ -16,6 +16,21 @@ checks its cells.  The kernels only add, subtract, multiply and divide by
 constants, so a NaN or inf never turns finite again, and
 ``PairMarch.finite_pairs()`` at the caller's record points and at the end
 catches every blow-up, pair by pair.
+
+The arrays are short (a few hundred cells), so a step costs NumPy calls,
+not arithmetic, and a call on one contiguous 1-D span costs about half of
+one on a strided 2-D view.  So each kernel works on flat spans of
+ghost-padded rows: a stencil reads ``f[2:]``, ``f[1:-1]`` and ``f[:-2]``
+of the flattened rows at once, and a per-row constant becomes an array
+with one entry per slot.  The slots of a span that fall on a ghost, or
+straddle two rows, carry junk: no cell reads them, and the ghost refresh
+that ends every step (and every RK4 stage) overwrites the junk a kernel
+writes into the block's ghosts.  Scratch buffers start zeroed, since a few
+junk slots are never written.  Only ops that must pair rows up or skip
+some go through 2-D views: the swapped sums and jumps of each pair, the
+relaxation source added to each dv/dt, and the relaxed v written back.
+Each kernel is a tuple of (ufunc, operands) calls, ``out`` last, built once
+when the march is made; a step replays its tuple.
 """
 
 from __future__ import annotations
@@ -25,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Grid, ModelParams, equilibrium_v, flux_derivative, flux_eval
+from .model import Grid, ModelParams, equilibrium_v, flux_derivative, flux_ops
 
 
 class InstabilityError(RuntimeError):
@@ -96,165 +111,140 @@ def semi_discrete_dt(p: ModelParams, grid: Grid) -> StepSize:
     return _land_on_t_final(dt_raw, p.t_final)
 
 
+def _zeros(shape) -> np.ndarray:
+    """A float64 buffer for the march.
+
+    Zero-filled, not empty: some junk slots are never written, and garbage
+    read there could raise floating-point warnings.
+    """
+    return np.zeros(shape)
+
+
+def _run(ops) -> None:
+    """Replay a prebuilt op sequence: each (ufunc, operands) in order, ``out`` last."""
+    for op, operands in ops:
+        op(*operands)
+
+
+def _per_row(values, width: int) -> np.ndarray:
+    """One constant per row, repeated over the ``width`` slots of its padded row."""
+    return np.repeat(np.asarray(values, dtype=float), width)
+
+
 def _padded(*rows) -> np.ndarray:
     """Stack cell fields into one float64 block with a copy ghost at each end."""
-    block = np.empty((len(rows), len(rows[0]) + 2))
+    block = _zeros((len(rows), len(rows[0]) + 2))
     block[:, 1:-1] = rows
-    _Ghosts(block)()
+    _run(_ghost_ops(block))
     return block
 
 
-class _Ghosts:
-    """Refreshes the copy ghosts of a ghost-padded block, every row at once.
+def _ghost_ops(block: np.ndarray) -> tuple:
+    """Refresh the copy ghosts of a ghost-padded block, every row at once.
 
     The zero-gradient closure of ``model.pad_edges``: the strided views pick
     the ghosts (0, n+1) and the edge cells (1, n) they copy.
     """
-
-    def __init__(self, block: np.ndarray) -> None:
-        n = block.shape[-1] - 2
-        self.ghosts, self.edges = block[..., :: n + 1], block[..., 1 : n + 1 : n - 1]
-
-    def __call__(self) -> None:
-        self.ghosts[...] = self.edges
+    n = block.shape[-1] - 2
+    return ((np.copyto, (block[..., :: n + 1], block[..., 1 : n + 1 : n - 1])),)
 
 
-class _HLLConvection:
+def _hll_ops(p: ModelParams, rows: np.ndarray, dt_dx: float) -> tuple:
     """HLL convection of ghost-padded (u, v) pairs, in place on their cells.
 
-    ``rows`` has shape (k, 2, n+2): k pairs, each marched on its own.  The
+    ``rows`` has shape (2k, n+2): k pairs, each marched on its own.  The
     interface fluxes
         F_u = (v_i + v_{i+1})/2 - lam (u_{i+1} - u_i)/2
         F_v = lam^2 (u_i + u_{i+1})/2 - lam (v_{i+1} - v_i)/2
-    take one ufunc call per stage for all rows: the neighbour sums enter
-    with each pair swapped and the coefficients [1/2, lam^2/2].
+    take one call per stage on the flat span of all rows; only the
+    neighbour sums, entering with each pair swapped and the coefficients
+    [1/2, lam^2/2], go through a (k, 2, n+2) view.
     """
-
-    def __init__(self, p: ModelParams, rows: np.ndarray) -> None:
-        shape = rows.shape[:-1] + (rows.shape[-1] - 1,)
-        self.left, self.right, self.cells = rows[..., :-1], rows[..., 1:], rows[..., 1:-1]
-        self.sum_coef = np.array([[0.5], [0.5 * p.lam**2]])
-        self.half_lam = 0.5 * p.lam
-        self.terms = np.empty(shape)
-        self.swapped = self.terms[..., ::-1, :]
-        self.fluxes = np.empty(shape)
-        self.east, self.west = self.fluxes[..., 1:], self.fluxes[..., :-1]
-        self.change = np.empty(self.cells.shape)
-
-    def step(self, dt_dx: float) -> None:
-        terms, fluxes = self.terms, self.fluxes
-        np.add(self.left, self.right, out=terms)
-        np.multiply(self.sum_coef, self.swapped, out=fluxes)
-        np.subtract(self.right, self.left, out=terms)
-        np.multiply(self.half_lam, terms, out=terms)
-        np.subtract(fluxes, terms, out=fluxes)
-        np.subtract(self.east, self.west, out=self.change)
-        np.multiply(dt_dx, self.change, out=self.change)
-        np.subtract(self.cells, self.change, out=self.cells)
+    flat = rows.reshape(-1)
+    left, right, cells = flat[:-1], flat[1:], flat[1:-1]
+    terms, fluxes = _zeros((2, len(rows) // 2, 2, rows.shape[1]))
+    flat_terms, flat_fluxes = terms.reshape(-1)[:-1], fluxes.reshape(-1)[:-1]
+    change = _zeros(cells.shape)
+    return (
+        (np.add, (left, right, flat_terms)),
+        (np.multiply, (np.array([[0.5], [0.5 * p.lam**2]]), terms[:, ::-1], fluxes)),
+        (np.subtract, (right, left, flat_terms)),
+        (np.multiply, (0.5 * p.lam, flat_terms, flat_terms)),
+        (np.subtract, (flat_fluxes, flat_terms, flat_fluxes)),
+        (np.subtract, (flat_fluxes[1:], flat_fluxes[:-1], change)),
+        (np.multiply, (dt_dx, change, change)),
+        (np.subtract, (cells, change, cells)),
+    )
 
 
-class _Closure:
-    """Per ghost-padded row w: f(w) - c (w_{i+1} - w_{i-1}) / (2 dx), into ``out``.
+def _closure_ops(p: ModelParams, dx: float, rows: np.ndarray, coef, out: np.ndarray) -> tuple:
+    """f(w) - c (w_{i+1} - w_{i-1}) / (2 dx) on the flat span ``rows[1:-1]``, into ``out``.
 
     With c = lam^2 this is the discrete closure of the limit pair (as in
     ``equilibrium_v``); with c = (1 - eps^2) lam^2 it is the target of the
-    implicit relaxation solve.  ``coefs`` holds one c per row.
+    implicit relaxation solve.  ``coef`` is c, or one c per slot of the span.
     """
-
-    def __init__(self, p: ModelParams, dx: float, rows: np.ndarray, coefs, out: np.ndarray) -> None:
-        self.flux, self.a = p.flux, p.a
-        self.east, self.west, self.cells = rows[:, 2:], rows[:, :-2], rows[:, 1:-1]
-        self.two_dx = 2.0 * dx
-        self.coef = np.array(coefs, dtype=float)[:, None]
-        self.grad = np.empty(out.shape)
-        self.out = out
-
-    def __call__(self) -> np.ndarray:
-        grad, out = self.grad, self.out
-        np.subtract(self.east, self.west, out=grad)
-        np.divide(grad, self.two_dx, out=grad)
-        np.multiply(self.coef, grad, out=grad)
-        flux_eval(self.flux, self.a, self.cells, out=out)
-        return np.subtract(out, grad, out=out)
+    grad = _zeros(out.shape)
+    return (
+        (np.subtract, (rows[2:], rows[:-2], grad)),
+        (np.divide, (grad, 2.0 * dx, grad)),
+        (np.multiply, (coef, grad, grad)),
+        *flux_ops(p.flux, p.a, rows[1:-1], out),
+        (np.subtract, (out, grad, out)),
+    )
 
 
-def _relax(v: np.ndarray, target: np.ndarray, weight, scratch: np.ndarray) -> None:
-    # v <- target + w (v - target), in place, with one weight per row of v;
-    # this form keeps equilibria exact, and w = eps^2/(eps^2 + dt) = 0 at
-    # eps = 0 lands v on the limit closure
-    np.subtract(v, target, out=scratch)
-    np.multiply(weight, scratch, out=scratch)
-    np.add(target, scratch, out=v)
-
-
-class _LimitRate:
-    """dubar/dt of the limit scheme on the ghost-padded rows (ubar, vbar).
+def _limit_rate_ops(p: ModelParams, dx: float, rows: np.ndarray, second: np.ndarray, rate) -> tuple:
+    """dubar/dt of the ghost-padded rows (ubar, vbar), into ``rate``.
 
     The centered vbar flux plus the lam-viscosity of the HLL operator:
         (lam (ubar_{i+1} - 2 ubar_i + ubar_{i-1}) - (vbar_{i+1} - vbar_{i-1})) / (2 dx).
-    The rate lives in the ghost-padded row ``padded``, so the closure chain
-    rule can difference it.  With ``curvature`` the second difference of
-    vbar is kept as well, as row 1 of ``second``.
+    ``second`` has one padded row per second difference to keep: that of
+    ubar, and with a second row that of vbar as well.
     """
-
-    def __init__(self, p: ModelParams, dx: float, rows: np.ndarray, curvature: bool = False) -> None:
-        n = rows.shape[1] - 2
-        k = 2 if curvature else 1
-        self.lam = p.lam
-        self.two_dx = 2.0 * dx
-        self.east, self.center, self.west = rows[:k, 2:], rows[:k, 1:-1], rows[:k, :-2]
-        self.vbar_east, self.vbar_west = rows[1, 2:], rows[1, :-2]
-        self.second = np.empty((k, n))
-        self.ubar_second = self.second[0]
-        self.jump = np.empty(n)
-        self.padded = np.empty(n + 2)
-        self.rate = self.padded[1:-1]
-
-    def __call__(self) -> np.ndarray:
-        second, rate = self.second, self.rate
-        np.multiply(2.0, self.center, out=second)
-        np.subtract(self.east, second, out=second)
-        np.add(second, self.west, out=second)
-        np.multiply(self.lam, self.ubar_second, out=rate)
-        np.subtract(self.vbar_east, self.vbar_west, out=self.jump)
-        np.subtract(rate, self.jump, out=rate)
-        return np.divide(rate, self.two_dx, out=rate)
+    n = rows.shape[1] - 2
+    flat, size = rows.reshape(-1), second.size
+    east, center, west = flat[2:size], flat[1 : size - 1], flat[: size - 2]
+    second = second.reshape(-1)[1:-1]
+    jump = _zeros(n)
+    return (
+        (np.multiply, (2.0, center, second)),
+        (np.subtract, (east, second, second)),
+        (np.add, (second, west, second)),
+        (np.multiply, (p.lam, second[:n], rate)),
+        (np.subtract, (flat[n + 4 :], flat[n + 2 : -2], jump)),
+        (np.subtract, (rate, jump, rate)),
+        (np.divide, (rate, 2.0 * dx, rate)),
+    )
 
 
-class _ClosureRate:
+def _closure_rate_ops(p: ModelParams, dx: float, ubar, rate_padded: np.ndarray, out) -> tuple:
     """dvbar/dt = f'(ubar) dubar/dt - lam^2 (r_{i+1} - r_{i-1}) / (2 dx), r = dubar/dt.
 
     The closure differentiated through dubar/dt (chain rule, no time
     differencing), which keeps the discrete entropy identity exact.
-    ``rate_padded`` is dubar/dt with a ghost per side; its ghosts are
-    refreshed on every call.
+    ``rate_padded`` is dubar/dt with a ghost per side; the ops refresh its
+    ghosts first.
     """
-
-    def __init__(
-        self, p: ModelParams, dx: float, ubar: np.ndarray, rate_padded: np.ndarray, out: np.ndarray
-    ) -> None:
-        # for Burgers f'(ubar) is the ubar array itself, not a copy, so the
-        # factor follows ubar when the caller marches it in place
-        self.speed = flux_derivative(p.flux, p.a, ubar)
-        self.lam2 = p.lam**2
-        self.two_dx = 2.0 * dx
-        self.refresh_ghosts = _Ghosts(rate_padded)
-        self.rate, self.east, self.west = rate_padded[1:-1], rate_padded[2:], rate_padded[:-2]
-        self.diffusive = np.empty(len(ubar))
-        self.out = out
-
-    def __call__(self) -> np.ndarray:
-        diffusive, out = self.diffusive, self.out
-        self.refresh_ghosts()
-        np.subtract(self.east, self.west, out=diffusive)
-        np.multiply(self.lam2, diffusive, out=diffusive)
-        np.divide(diffusive, self.two_dx, out=diffusive)
-        np.multiply(self.speed, self.rate, out=out)
-        return np.subtract(out, diffusive, out=out)
+    # for Burgers f'(ubar) is the ubar array itself, not a copy, so the
+    # factor follows ubar when the caller marches it in place
+    speed = flux_derivative(p.flux, p.a, ubar)
+    diffusive = _zeros(len(ubar))
+    return (
+        *_ghost_ops(rate_padded),
+        (np.subtract, (rate_padded[2:], rate_padded[:-2], diffusive)),
+        (np.multiply, (p.lam**2, diffusive, diffusive)),
+        (np.divide, (diffusive, 2.0 * dx, diffusive)),
+        (np.multiply, (speed, rate_padded[1:-1], out)),
+        (np.subtract, (out, diffusive, out)),
+    )
 
 
-class _PairRates:
-    """Method-of-lines rates of the ghost-padded pairs in ``rows``, into ``out``.
+def _pair_rate_ops(
+    p: ModelParams, dx: float, rows: np.ndarray, epsilons: tuple[float, ...], limit: bool,
+    out: np.ndarray,
+) -> tuple:
+    """Method-of-lines rates of the ghost-padded pairs in ``rows``, into the cells of ``out``.
 
     ``rows`` holds one relaxed pair (u, v) per entry of ``epsilons``, then,
     with ``limit``, the limit pair (ubar, vbar).  Terms are formed and summed
@@ -262,52 +252,47 @@ class _PairRates:
         du/dt = -(v_{i+1} - v_{i-1})/(2dx) + lam ((u_{i+1} - 2u_i) + u_{i-1})/(2dx)
         dv/dt = -lam^2 (u_{i+1} - u_{i-1})/(2dx eps^2)
                 + lam ((v_{i+1} - 2v_i) + v_{i-1})/(2dx) + (f(u) - v)/eps^2
-    and dubar/dt as du/dt with vbar for v.  ``out`` holds the rates of the
-    rows before vbar: the limit pair has no row of its own for dvbar/dt.
-    One ufunc call per operation serves all rows (the jumps of a pair swapped).
+    and dubar/dt as du/dt with vbar for v.  ``out`` has one padded row per
+    row before vbar: the limit pair has no row of its own for dvbar/dt.
+    Each term is one call on the flat span of all rows, but for two that
+    pair rows up through views: the jumps of each pair swapped, and the
+    source (f(u) - v)/eps^2 of each u row added to the rate of its v row.
     """
-
-    def __init__(
-        self, p: ModelParams, dx: float, rows: np.ndarray, epsilons: tuple[float, ...], limit: bool
-    ) -> None:
-        n = rows.shape[1] - 2
-        eps2 = [eps**2 for eps in epsilons]
-        n_pairs = len(eps2) + limit
-        n_rates = 2 * n_pairs - limit
-        self.jump_ends = rows[:, 2:], rows[:, :-2]
-        self.east, self.center, self.west = rows[:n_rates, 2:], rows[:n_rates, 1:-1], rows[:n_rates, :-2]
-        self.jumps, self.first = np.empty((2, n_pairs, 2, n))
-        self.flat_jumps, self.swapped = self.jumps.reshape(-1, n), self.jumps[:, ::-1]
-        self.first_rates = self.first.reshape(-1, n)[:n_rates]
-        self.second = np.empty((n_rates, n))
-        self.lam, self.two_dx = p.lam, 2.0 * dx
-        self.coef = np.array([[[-1.0], [-p.lam**2]]] * len(eps2) + [[[-1.0], [0.0]]] * limit)
-        self.denom = np.array(
-            [[[2.0 * dx], [2.0 * dx * e2]] for e2 in eps2] + [[[2.0 * dx], [2.0 * dx]]] * limit
-        )
-        self.n_relaxed = r = 2 * len(eps2)
-        self.relaxed_u, self.relaxed_v = self.center[0:r:2], self.center[1:r:2]
-        self.flux, self.a, self.eps2 = p.flux, p.a, np.array(eps2)[:, None]
-        self.source = np.empty((len(eps2), n))
-
-    def __call__(self, out: np.ndarray) -> np.ndarray:
-        first, second = self.first, self.second
-        np.subtract(*self.jump_ends, out=self.flat_jumps)
-        np.multiply(self.coef, self.swapped, out=first)
-        np.divide(first, self.denom, out=first)
-        np.multiply(2.0, self.center, out=second)
-        np.subtract(self.east, second, out=second)
-        np.add(second, self.west, out=second)
-        np.multiply(self.lam, second, out=second)
-        np.divide(second, self.two_dx, out=second)
-        np.add(self.first_rates, second, out=out)
-        if self.n_relaxed:
-            dv_dt = out[1 : self.n_relaxed : 2]
-            source = flux_eval(self.flux, self.a, self.relaxed_u, out=self.source)
-            np.subtract(source, self.relaxed_v, out=source)
-            np.divide(source, self.eps2, out=source)
-            np.add(dv_dt, source, out=dv_dt)
-        return out
+    width = rows.shape[1]
+    eps2 = [eps**2 for eps in epsilons]
+    flat, size = rows.reshape(-1), out.size
+    east, center, west = flat[2:size], flat[1 : size - 1], flat[: size - 2]
+    rates = out.reshape(-1)[1:-1]
+    jumps, first = _zeros((2, len(rows) // 2, 2, width))
+    first_rates = first.reshape(-1)[1 : size - 1]
+    denom = [d for e2 in eps2 for d in (2.0 * dx, 2.0 * dx * e2)] + [2.0 * dx] * limit
+    coef = np.array([[[-1.0], [-p.lam**2]]] * len(eps2) + [[[-1.0], [0.0]]] * limit)
+    second = _zeros(size)[1:-1]
+    ops = (
+        (np.subtract, (flat[2:], flat[:-2], jumps.reshape(-1)[1:-1])),
+        (np.multiply, (coef, jumps[:, ::-1], first)),
+        (np.divide, (first_rates, _per_row(denom, width)[1:-1], first_rates)),
+        (np.multiply, (2.0, center, second)),
+        (np.subtract, (east, second, second)),
+        (np.add, (second, west, second)),
+        (np.multiply, (p.lam, second, second)),
+        (np.divide, (second, 2.0 * dx, second)),
+        (np.add, (first_rates, second, rates)),
+    )
+    if not eps2:
+        return ops
+    # the span from u_1 to u_k; the v rows between carry junk
+    n_src = 2 * len(eps2) - 1
+    source = _zeros((n_src, width))
+    span = source.reshape(-1)[1:-1]
+    eps2_rows = _per_row([e2 for e2 in eps2 for _ in (0, 1)][:n_src], width)[1:-1]
+    dv_dt, src = out[1 : n_src + 1 : 2, 1:-1], source[::2, 1:-1]
+    return ops + (
+        *flux_ops(p.flux, p.a, flat[1 : n_src * width - 1], span),
+        (np.subtract, (span, flat[width + 1 : (n_src + 1) * width - 1], span)),
+        (np.divide, (span, eps2_rows, span)),
+        (np.add, (dv_dt, src, dv_dt)),
+    )
 
 
 class PairMarch:
@@ -333,6 +318,9 @@ class PairMarch:
     RK4 of all method-of-lines pairs, vbar re-closed after every stage.
     ``limit_rate()`` returns dubar/dt of the current limit pair; convect()
     computes it itself unless limit_rate() already did for this state.
+    Each of them replays an op sequence built here, on flat spans of the
+    block and of the RK4 stage block; junk written into ghosts is
+    overwritten by the ghost refresh that closes each step and stage.
     Neither stepper allocates nor checks finiteness: that is
     ``finite_pairs()``, for the caller to run where it reads the cells.
     With ``curvature`` the march also serves ``closure_rates()``, the fields
@@ -344,69 +332,107 @@ class PairMarch:
         u: np.ndarray, v: np.ndarray, ubar: np.ndarray, vbar: np.ndarray,
         curvature: bool = False, epsilons: tuple[float, ...] | None = None,
     ) -> None:
-        n = grid.n_cells
+        n, width, dx = grid.n_cells, grid.n_cells + 2, grid.dx
         epsilons = (p.eps,) if epsilons is None else tuple(epsilons)
         k = len(epsilons)
         self.block = block = _padded(*(u, v) * k, ubar, vbar)
-        self.pairs = pairs = block.reshape(k + 1, 2, n + 2)
+        self.pairs = pairs = block.reshape(k + 1, 2, width)
         self.relaxed, self.limit = pairs[:k, :, 1:-1], pairs[k, :, 1:-1]
         self.ubar, self.vbar = self.limit
         self.u, self.v = self.relaxed[0] if k == 1 else self.relaxed.transpose(1, 0, 2)
-        self._v_rows = self.relaxed[:, 1]
-        self._refresh_ghosts = _Ghosts(block)
-        self._dt = dt
-        self._dt_dx = dt / grid.dx
-        self._weight = np.array([[eps**2 / (eps**2 + dt)] for eps in epsilons])
-        self._hll = _HLLConvection(p, pairs[:k])
-        self._rate = _LimitRate(p, grid.dx, block[-2:], curvature)
+        flat = block.reshape(-1)
+        refresh = _ghost_ops(block)
+        v_rows = slice(1, 2 * k, 2)
+
+        rate_padded = _zeros(width)
+        self._rate = rate = rate_padded[1:-1]
+        second = _zeros((2 if curvature else 1, width))
+        self._rate_ops = _limit_rate_ops(p, dx, block[-2:], second, rate)
         self._rate_current = False
-        # the relaxation targets of the v rows, then the closure vbar
-        self._targets = np.empty((k + 1, n))
-        coefs = [(1.0 - eps**2) * p.lam**2 for eps in epsilons] + [p.lam**2]
-        self._closure = _Closure(p, grid.dx, block[::2], coefs, self._targets)
-        self._scratch = np.empty((k, n))
-        self._increment = np.empty(n)
+        increment = _zeros(n)
+        self._convect_ops = (
+            *_hll_ops(p, block[: 2 * k], dt / dx),
+            (np.multiply, (dt, rate, increment)),
+            (np.add, (self.ubar, increment, self.ubar)),
+            *refresh,
+        )
+
+        # the closure of each u row and of ubar lands one row down: the
+        # relaxation targets beside the v rows, the closure vbar beside vbar
+        targets, scratch = _zeros((2, 2 * k + 2, width))
+        to_v, s_flat = slice(width + 1, 2 * k * width - 1), scratch.reshape(-1)
+        coefs = [c for eps in epsilons for c in ((1.0 - eps**2) * p.lam**2, 0.0)] + [p.lam**2]
+        weights = _per_row([w for eps in epsilons for w in (0.0, eps**2 / (eps**2 + dt))], width)
+        self._relax_ops = (
+            *_closure_ops(
+                p, dx, flat[: (2 * k + 1) * width], _per_row(coefs, width)[1:-1],
+                targets.reshape(-1)[width + 1 : -1],
+            ),
+            # v <- target + w (v - target): this form keeps equilibria exact,
+            # and w = eps^2/(eps^2 + dt) = 0 at eps = 0 lands v on the closure
+            (np.subtract, (flat[to_v], targets.reshape(-1)[to_v], s_flat[to_v])),
+            (np.multiply, (weights[to_v], s_flat[to_v], s_flat[to_v])),
+            (np.add, (targets[v_rows, 1:-1], scratch[v_rows, 1:-1], block[v_rows, 1:-1])),
+            (np.copyto, (self.vbar, targets[-1, 1:-1])),
+            *refresh,
+        )
+
         if curvature:
-            self._k_fields = np.empty((2, n))
-            self._closure_rate = _ClosureRate(
-                p, grid.dx, self.ubar, self._rate.padded, self._k_fields[0]
+            self._k_fields = _zeros((2, n))
+            self._closure_rate_ops = (
+                *_closure_rate_ops(p, dx, self.ubar, rate_padded, self._k_fields[0]),
+                (np.divide, (second[1, 1:-1], dx * dx, self._k_fields[1])),
             )
-            self._vbar_second = self._rate.second[1]
-            self._dx2 = grid.dx * grid.dx
-        self._stage = stage = np.empty_like(block)
-        self._k = np.empty((4, 2 * k + 1, n))  # RK4 rates of every row but vbar
-        self._rates = [_PairRates(p, grid.dx, b, epsilons, limit=True) for b in (block, stage)]
-        self._closings = [
-            (
-                _Ghosts(b[:-1]),
-                _Closure(p, grid.dx, b[-2:-1], (p.lam**2,), b[-1:, 1:-1]),
-                _Ghosts(b[-1]),
+
+        # RK4 on the span of every row but vbar; the stage re-closes vbar
+        stage = _zeros(block.shape)
+        rates = _zeros((4, 2 * k + 1, width))
+        k_flat = [r.reshape(-1)[1:-1] for r in rates]
+        y0, y = flat[1 : (2 * k + 1) * width - 1], stage.reshape(-1)[1 : (2 * k + 1) * width - 1]
+
+        def close(b: np.ndarray) -> tuple:
+            # the ghosts of every row but vbar, vbar re-closed, then its ghosts
+            b_flat = b.reshape(-1)
+            return (
+                *_ghost_ops(b[:-1]),
+                *_closure_ops(p, dx, b_flat[2 * k * width : -width], p.lam**2, b_flat[-width + 1 : -1]),
+                *_ghost_ops(b[-1]),
             )
-            for b in (block, stage)
-        ]
+
+        ops = _pair_rate_ops(p, dx, block, epsilons, limit=True, out=rates[0])
+        for i, h in enumerate((0.5 * dt, 0.5 * dt, dt)):
+            ops += (
+                (np.multiply, (h, k_flat[i], y)),
+                (np.add, (y0, y, y)),
+                *close(stage),
+                *_pair_rate_ops(p, dx, stage, epsilons, limit=True, out=rates[i + 1]),
+            )
+        k2_k3 = rates[1:3].reshape(-1)
+        self._rk4_ops = ops + (
+            (np.multiply, (2.0, k2_k3, k2_k3)),
+            *((np.add, (k_flat[0], k_flat[i], k_flat[0])) for i in (1, 2, 3)),
+            (np.multiply, (dt / 6.0, k_flat[0], k_flat[0])),
+            (np.add, (y0, k_flat[0], y0)),
+            *close(block),
+        )
 
     def limit_rate(self) -> np.ndarray:
         """dubar/dt of the current limit pair, as used by the next convect()."""
         self._rate_current = True
-        return self._rate()
+        _run(self._rate_ops)
+        return self._rate
 
     def convect(self) -> None:
         """Explicit half step of every pair."""
         if not self._rate_current:
-            self._rate()
+            _run(self._rate_ops)
         self._rate_current = False
-        self._hll.step(self._dt_dx)
-        np.multiply(self._dt, self._rate.rate, out=self._increment)
-        np.add(self.ubar, self._increment, out=self.ubar)
-        self._refresh_ghosts()
+        _run(self._convect_ops)
 
     def relax(self) -> None:
         """Implicit half step: relaxation solve of every v, algebraic closure of vbar."""
         self._rate_current = False
-        self._closure()
-        _relax(self._v_rows, self._targets[:-1], self._weight, self._scratch)
-        np.copyto(self.vbar, self._targets[-1])
-        self._refresh_ghosts()
+        _run(self._relax_ops)
 
     def rk4_step(self) -> None:
         """Classical RK4 step of all method-of-lines pairs, vbar re-closed per stage.
@@ -414,24 +440,7 @@ class PairMarch:
         Stages y0 + (dt/2) k and y0 + dt k, then y0 + (((k1 + 2 k2) + 2 k3) + k4) dt/6.
         """
         self._rate_current = False
-        k, y0, y = self._k, self.block[:-1, 1:-1], self._stage[:-1, 1:-1]
-        self._rates[0](k[0])
-        for i, h in enumerate((0.5 * self._dt, 0.5 * self._dt, self._dt)):
-            np.multiply(h, k[i], out=y)
-            np.add(y0, y, out=y)
-            self._close(1)
-            self._rates[1](k[i + 1])
-        np.multiply(2.0, k[1:3], out=k[1:3])
-        for i in (1, 2, 3):
-            np.add(k[0], k[i], out=k[0])
-        np.multiply(self._dt / 6.0, k[0], out=k[0])
-        np.add(y0, k[0], out=y0)
-        self._close(0)
-
-    def _close(self, which: int) -> None:
-        # the ghosts of every row but vbar, vbar re-closed, then its ghosts
-        for step in self._closings[which]:
-            step()
+        _run(self._rk4_ops)
 
     def finite_pairs(self) -> list[bool]:
         """Per relaxed pair, whether its cells and those of the limit pair are all finite."""
@@ -444,8 +453,7 @@ class PairMarch:
 
         Needs ``curvature``.  Both rows are scratch, overwritten by the next call.
         """
-        self._closure_rate()
-        np.divide(self._vbar_second, self._dx2, out=self._k_fields[1])
+        _run(self._closure_rate_ops)
         return self._k_fields
 
     def states(self, t: float, row: int = 0) -> tuple[HyperbolicState, LimitState]:
@@ -457,12 +465,13 @@ class PairMarch:
 def semi_discrete_rhs(p: ModelParams, grid: Grid, state: HyperbolicState) -> np.ndarray:
     """Method-of-lines right-hand side of the relaxed system: rows du/dt and dv/dt.
 
-    The HLL stencils of ``_PairRates``, with copy-ghost closure.
+    The HLL stencils of ``_pair_rate_ops``, with copy-ghost closure.
     """
     if p.eps <= 0:
         raise ValueError("the semi-discrete relaxed system requires eps > 0")
-    rates = _PairRates(p, grid.dx, _padded(state.u, state.v), (p.eps,), limit=False)
-    return rates(np.empty((2, grid.n_cells)))
+    rates = _zeros((2, grid.n_cells + 2))
+    _run(_pair_rate_ops(p, grid.dx, _padded(state.u, state.v), (p.eps,), limit=False, out=rates))
+    return rates[:, 1:-1]
 
 
 ALGEBRAIC_TOL = 1e-12
@@ -480,7 +489,7 @@ def limit_semi_discrete_rhs(p: ModelParams, grid: Grid, state: LimitState):
     if gap > ALGEBRAIC_TOL:
         raise ValueError(f"limit state violates the algebraic closure by {gap:.3e}")
     block = _padded(state.ubar, vbar)
-    rate = np.empty((1, grid.n_cells + 2))
-    dubar_dt = _PairRates(p, grid.dx, block, (), limit=True)(rate[:, 1:-1])[0]
-    dvbar_dt = _ClosureRate(p, grid.dx, block[0, 1:-1], rate[0], np.empty(grid.n_cells))()
-    return dubar_dt, dvbar_dt
+    rate, dvbar_dt = _zeros(grid.n_cells + 2), _zeros(grid.n_cells)
+    _run(_pair_rate_ops(p, grid.dx, block, (), limit=True, out=rate[None]))
+    _run(_closure_rate_ops(p, grid.dx, block[0, 1:-1], rate, dvbar_dt))
+    return rate[1:-1], dvbar_dt

@@ -55,6 +55,27 @@ class TestParsing:
         assert err.value.code != 0
         assert "subcharacteristic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scheme, reason", [
+        ("jpt", "the grid rule dx <= eps needs eps > 0, got 0"),
+        ("semi-discrete", "semi-discrete integration requires eps > 0"),
+    ])
+    def test_study_refuses_eps_zero_before_marching(self, scheme, reason, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "run_group", None)  # any march would fail loudly
+        argv = ["study", "--eps-list", "0.1,0.05,0", "--nx", "20", "--tfinal", "0.001",
+                "--scheme", scheme]
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"jinxin: error: eps=0: {reason}"
+
+    def test_semi_discrete_run_refuses_eps_zero(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["run", "--scheme", "semi-discrete", "--eps", "0"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "jinxin: error: semi-discrete integration requires eps > 0"
+        )
+
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:
             parse_args("run --viscosity 3".split())

@@ -118,6 +118,11 @@ class TestStudyCells:
         cfg = RunConfig(x_min=0.0, x_max=2.0, lam=3.0, u_left=1.0, u_right=0.5)
         assert study_cells(cfg, 1e-3) == 2000
 
+    @pytest.mark.parametrize("eps", [0.0, -0.1])
+    def test_no_grid_resolves_eps_at_or_below_zero(self, eps):
+        with pytest.raises(ConfigError, match="needs eps > 0"):
+            study_cells(RunConfig(), eps)
+
 
 class TestFitRate:
     def test_two_point_exact_fourth_order(self):
@@ -183,6 +188,15 @@ class TestRunPair:
         assert result.residual_integrals is not None
         report = diagnostics.residual_sign_checks(result.residual_integrals, cfg.params())
         assert report.all_ok
+
+    @pytest.mark.parametrize("scheme", ["jpt", "semi-discrete"])
+    def test_states_and_series_end_on_t_final(self, scheme):
+        # 23 steps of dt = 0.01/23 add up to 0.010000000000000002, not t_final
+        cfg = RunConfig(eps=0.5, n_cells=64, t_final=0.01, scheme=scheme, record_every=5)
+        result = run_pair(cfg, accumulate=())
+        assert result.step.n_steps == 23
+        assert result.hyp.t == result.lim.t == result.series.t[-1] == cfg.t_final
+        assert result.series.t[1:-1].tolist() == [k * result.step.dt for k in (5, 10, 15, 20)]
 
     def test_burgers_run_is_stable_and_finite(self):
         cfg = RunConfig(eps=1.0, lam=3.0, flux="burgers", n_cells=100, t_final=0.02)

@@ -505,6 +505,33 @@ class TestPairMarch:
             assert np.array_equal(group.pairs[i], march.pairs[0]), i
             assert np.array_equal(group.pairs[-1], march.pairs[-1]), i
 
+    @pytest.mark.parametrize("flux, lam", [("linear", 0.72), ("burgers", 3.0)])
+    def test_no_cell_reads_a_junk_slot(self, flux, lam, monkeypatch):
+        # every buffer starts as NaN, so a span off by one slot carries a NaN
+        # (or a neighbouring row's value) into some cell
+        monkeypatch.setattr(schemes, "_zeros", lambda shape: np.full(shape, np.nan))
+        epsilons = (0.1, 0.07, 0.05)
+        p = ModelParams(eps=epsilons[0], lam=lam, a=0.5, flux=flux)
+        grid = Grid(n_cells=40)
+        u, v, ub, vb = model.riemann_initial(p, grid, 2.0, 1.0)
+        for rule, step, textbook, rows in (
+            (schemes.marching_dt, split_steps, textbook_split, 4),
+            (schemes.semi_discrete_dt, schemes.PairMarch.rk4_step, textbook_rk4, 3),
+        ):
+            dt = min(rule(replace(p, eps=eps), grid).dt for eps in epsilons)
+            with np.errstate(invalid="ignore"):
+                march = schemes.PairMarch(p, grid, dt, u, v, ub, vb, curvature=True, epsilons=epsilons)
+                for _ in range(30):
+                    step(march)
+                march.limit_rate()
+                k_fields = march.closure_rates()
+            assert np.isfinite(march.block).all() and np.isfinite(k_fields).all()
+            for i, eps in enumerate(epsilons):
+                y = np.array([u, v, ub, vb][:rows])
+                for _ in range(30):
+                    y = textbook(replace(p, eps=eps), grid, y, dt)
+                assert np.array_equal(march.pairs[[i, -1], :, 1:-1].reshape(4, -1)[:rows], y), i
+
     def test_convect_computes_the_limit_rate_itself(self):
         # a fresh march's first convect() without limit_rate() moves ubar
         # exactly as one after it, on every fresh march, and a march that
