@@ -115,6 +115,11 @@ def parse_args(argv) -> Command:
         config = harness.make_config(None, **values)
     except (ConfigError, OSError) as exc:
         parser.error(str(exc))
+    if ns.command == "verify" and ns.check in ("residuals", "all"):
+        try:
+            harness.residual_config(config).validate()
+        except ConfigError as exc:
+            parser.error(f"residual check: {exc}")
     eps_list = ()
     if ns.command == "study":
         eps_list = ns.eps_list if ns.eps_list is not None else tuple(harness.DEFAULT_EPS_SWEEP)

@@ -17,7 +17,7 @@ bound sup_t phi(t) <= phi(0) + B eps^4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,17 +38,18 @@ from .schemes import (
 )
 
 
-def weighted_error_total(p: ModelParams, grid: Grid, du: np.ndarray, dv: np.ndarray) -> float:
+def weighted_error_total(p: ModelParams, grid: Grid, du: np.ndarray, dv: np.ndarray) -> float | np.ndarray:
     """dx-weighted quadratic error lam^2 du^2/2 + eps^2 dv^2/2 - eps^2 a du dv.
 
-    For the linear flux this is exactly the total relative entropy; for
-    Burgers (no explicit entropy) the cross term is dropped and the same
+    Sums along the last axis: one total per row of cells.  For the linear
+    flux this is exactly the total relative entropy; for Burgers (no
+    explicit entropy) the cross term is dropped and the same
     relaxation-scaled weights are kept, giving the norm in which the eps^4
     convergence rate is measured.
     """
     a_cross = p.a if p.flux == LINEAR else 0.0
     dens = 0.5 * p.lam**2 * du * du + 0.5 * p.eps**2 * dv * dv - p.eps**2 * a_cross * du * dv
-    return grid.dx * float(dens.sum())
+    return grid.dx * dens.sum(axis=-1)
 
 
 def discrete_re_flux(p: ModelParams, du_l, dv_l, du_r, dv_r):
@@ -68,14 +69,15 @@ def discrete_re_flux(p: ModelParams, du_l, dv_l, du_r, dv_r):
 
 
 def _dxx(dx: float, ext: np.ndarray) -> np.ndarray:
-    """D_xx of a field given with one copy ghost per side."""
-    return (ext[2:] - 2.0 * ext[1:-1] + ext[:-2]) / dx**2
+    """D_xx along the last axis of fields given with one copy ghost per side."""
+    return (ext[..., 2:] - 2.0 * ext[..., 1:-1] + ext[..., :-2]) / dx**2
 
 
 def _residuals(p: ModelParams, dx: float, du_ext: np.ndarray, dv_ext: np.ndarray, dxx_vbar: np.ndarray):
+    """R1-R4 along the last axis, from differences given with one copy ghost per side."""
     if p.flux != LINEAR:
         raise ValueError("entropy residuals are only explicit for the linear flux")
-    du, dv = du_ext[1:-1], dv_ext[1:-1]
+    du, dv = du_ext[..., 1:-1], dv_ext[..., 1:-1]
     dxx_du = _dxx(dx, du_ext)
     dxx_dv = _dxx(dx, dv_ext)
     half_dx = 0.5 * dx
@@ -170,65 +172,46 @@ def entropy_budget(p: ModelParams, grid: Grid, hyp: HyperbolicState, lim: LimitS
     )
 
 
+def _residual_integrands(p: ModelParams, dx: float, du_ext, dv_ext, dxx_vbar) -> tuple[np.ndarray, ...]:
+    """The cell integrands of the ``ResidualIntegrals`` fields, in order, along the last axis.
+
+    Arguments as for ``_residuals``; ``dxx_vbar`` is D_xx of the limit v.
+    """
+    du, dv = du_ext[..., 1:-1], dv_ext[..., 1:-1]
+    # interior interfaces only; the copy ghosts make the boundary
+    # differences exactly zero, which is what the exact summation by
+    # parts behind the R1/R2 equalities needs
+    grad_du = np.diff(du) / dx
+    grad_dv = np.diff(dv) / dx
+    relax = dv - p.a * du
+    return (
+        *_residuals(p, dx, du_ext, dv_ext, dxx_vbar),
+        grad_du * grad_du,
+        grad_dv * grad_dv,
+        dxx_vbar * dxx_vbar,
+        relax * relax,
+    )
+
+
 @dataclass
 class ResidualIntegrals:
     """Left-endpoint time integrals of the residual sums and companion norms.
 
-    All entries are running values of dx-weighted spatial sums integrated
-    over [0, t]; ``snapshots`` keeps one row per accumulation time so the
-    sign estimates can be checked at every recorded instant.
+    Each field but ``dx`` holds one running value per step: entry k is the
+    dx-weighted spatial sum integrated over [0, (k+1) dt], so the sign
+    estimates can be checked after every step.  ``harness.run_group``
+    fills them.
     """
 
     dx: float
-    int_r1: float = 0.0
-    int_r2: float = 0.0
-    int_r3: float = 0.0
-    int_r4: float = 0.0
-    norm_dx_du_sq: float = 0.0  # ||D_x du||^2 over [0,t]
-    norm_dx_dv_sq: float = 0.0
-    norm_dxx_vbar_sq: float = 0.0  # ||D_xx vbar||^2 over [0,t]
-    relax_sq: float = 0.0  # integral of dx-sum of (dv - a du)^2
-    snapshots: list[tuple[float, ...]] = field(default_factory=list)
-
-    def add(self, p: ModelParams, grid: Grid, pair: np.ndarray, limit: np.ndarray, dt: float) -> None:
-        """Integrate over [t, t + dt] from the ghost-padded rows (u, v) and (ubar, vbar) at t.
-
-        Both are pairs of a ``schemes.PairMarch``, as in its ``pairs``.
-        """
-        dx = grid.dx
-        du_ext = pair[0] - limit[0]
-        dv_ext = pair[1] - limit[1]
-        du, dv = du_ext[1:-1], dv_ext[1:-1]
-        dxx_vbar = _dxx(dx, limit[1])
-        r1, r2, r3, r4 = _residuals(p, dx, du_ext, dv_ext, dxx_vbar)
-        self.int_r1 += dt * dx * float(r1.sum())
-        self.int_r2 += dt * dx * float(r2.sum())
-        self.int_r3 += dt * dx * float(r3.sum())
-        self.int_r4 += dt * dx * float(r4.sum())
-        # interior interfaces only; the copy ghosts make the boundary
-        # differences exactly zero, which is what the exact summation by
-        # parts behind the R1/R2 equalities needs
-        grad_du = np.diff(du) / dx
-        grad_dv = np.diff(dv) / dx
-        self.norm_dx_du_sq += dt * dx * float((grad_du * grad_du).sum())
-        self.norm_dx_dv_sq += dt * dx * float((grad_dv * grad_dv).sum())
-        self.norm_dxx_vbar_sq += dt * dx * float((dxx_vbar * dxx_vbar).sum())
-        relax = dv - p.a * du
-        self.relax_sq += dt * dx * float((relax * relax).sum())
-        t_next = (self.snapshots[-1][0] if self.snapshots else 0.0) + dt
-        self.snapshots.append(
-            (
-                t_next,
-                self.int_r1,
-                self.int_r2,
-                self.int_r3,
-                self.int_r4,
-                self.norm_dx_du_sq,
-                self.norm_dx_dv_sq,
-                self.norm_dxx_vbar_sq,
-                self.relax_sq,
-            )
-        )
+    int_r1: np.ndarray
+    int_r2: np.ndarray
+    int_r3: np.ndarray
+    int_r4: np.ndarray
+    norm_dx_du_sq: np.ndarray  # ||D_x du||^2 over [0,t]
+    norm_dx_dv_sq: np.ndarray
+    norm_dxx_vbar_sq: np.ndarray  # ||D_xx vbar||^2 over [0,t]
+    relax_sq: np.ndarray  # integral of dx-sum of (dv - a du)^2
 
 
 @dataclass
@@ -266,8 +249,14 @@ EQUALITY_RTOL = 1e-12
 SIGN_GUARD = 1e-12
 
 
+def _rel_defect(got: np.ndarray, expected: np.ndarray) -> float:
+    """Largest |got - expected| relative to the larger magnitude of the two."""
+    scale = np.maximum(np.maximum(np.abs(got), np.abs(expected)), 1e-300)
+    return float(np.max(np.abs(got - expected) / scale))
+
+
 def residual_sign_checks(acc: ResidualIntegrals, p: ModelParams, theta: float = 0.5) -> ResidualReport:
-    """Check the integrated residual estimates at every recorded time.
+    """Check the integrated residual estimates after every step, on the running arrays of ``acc``.
 
     (1) int R1 = -(lam^3/2) dx ||D_x du||^2 exactly,
     (2) int R2 = -(eps^2 lam/2) dx ||D_x dv||^2 exactly,
@@ -276,27 +265,22 @@ def residual_sign_checks(acc: ResidualIntegrals, p: ModelParams, theta: float = 
                + theta/2 * int sum dx (dv - a du)^2.
     """
     dx = acc.dx
-    r1_defect = r2_defect = 0.0
-    sum124_worst = -np.inf
-    r3_margin = np.inf
-    for (_, i1, i2, i3, i4, ndu, ndv, nvb, relax) in acc.snapshots:
-        rhs1 = -0.5 * p.lam**3 * dx * ndu
-        rhs2 = -0.5 * p.eps**2 * p.lam * dx * ndv
-        r1_defect = max(r1_defect, abs(i1 - rhs1) / max(abs(i1), abs(rhs1), 1e-300))
-        r2_defect = max(r2_defect, abs(i2 - rhs2) / max(abs(i2), abs(rhs2), 1e-300))
-        sum124_worst = max(sum124_worst, i1 + i2 + i4)
-        bound = p.eps**4 * p.lam**2 / (8.0 * theta) * dx**2 * nvb + 0.5 * theta * relax
-        r3_margin = min(r3_margin, bound - i3)
-    scale = max(abs(acc.int_r1), abs(acc.int_r2), abs(acc.int_r4), 1e-300)
+    r1_defect = _rel_defect(acc.int_r1, -0.5 * p.lam**3 * dx * acc.norm_dx_du_sq)
+    r2_defect = _rel_defect(acc.int_r2, -0.5 * p.eps**2 * p.lam * dx * acc.norm_dx_dv_sq)
+    sum124_worst = float(np.max(acc.int_r1 + acc.int_r2 + acc.int_r4))
+    young = p.eps**4 * p.lam**2 / (8.0 * theta) * dx**2
+    bound = young * acc.norm_dxx_vbar_sq + 0.5 * theta * acc.relax_sq
+    r3_margin = float(np.min(bound - acc.int_r3))
+    scale = max(abs(acc.int_r1[-1]), abs(acc.int_r2[-1]), abs(acc.int_r4[-1]), 1e-300)
     return ResidualReport(
         r1_equality_ok=r1_defect <= EQUALITY_RTOL,
         r1_rel_defect=r1_defect,
         r2_equality_ok=r2_defect <= EQUALITY_RTOL,
         r2_rel_defect=r2_defect,
         sum124_ok=sum124_worst <= SIGN_GUARD * scale,
-        sum124_worst=float(sum124_worst),
-        r3_bound_ok=r3_margin >= -SIGN_GUARD * max(abs(acc.int_r3), 1.0),
-        r3_worst_margin=float(r3_margin),
+        sum124_worst=sum124_worst,
+        r3_bound_ok=r3_margin >= -SIGN_GUARD * max(abs(acc.int_r3[-1]), 1.0),
+        r3_worst_margin=r3_margin,
         theta=theta,
     )
 

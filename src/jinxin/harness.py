@@ -5,10 +5,11 @@ the same grid and step ladder, accumulating the space-time error norms and
 (for the semi-discrete scheme with the linear flux) the entropy budgets.
 ``run_group`` is the one march loop: it advances one relaxed pair per eps
 beside a single limit pair, for eps that share the grid and the step, and
-reduces the running sums once per chunk of steps.  ``run_pair`` is its
-one-eps case.  The convergence study runs an eps sweep with a grid refined
-so that dx <= eps, one group per grid and step, then fits the log-log rate
-of the relaxation-scaled squared error.
+reduces every per-step diagnostic (error sums, phi, residual integrals)
+once per chunk of steps.  ``run_pair`` is its one-eps case.  The
+convergence study runs an eps sweep with a grid refined so that dx <= eps,
+one group per grid and step, then fits the log-log rate of the
+relaxation-scaled squared error.
 """
 
 from __future__ import annotations
@@ -94,20 +95,7 @@ class RunConfig:
 
 # config-file key -> dataclass field (only "lambda" differs: keyword clash)
 CONFIG_KEYS: dict[str, str] = {
-    "eps": "eps",
-    "lambda": "lam",
-    "a": "a",
-    "flux": "flux",
-    "n_cells": "n_cells",
-    "x_min": "x_min",
-    "x_max": "x_max",
-    "cfl": "cfl",
-    "t_final": "t_final",
-    "u_left": "u_left",
-    "u_right": "u_right",
-    "well_prepared": "well_prepared",
-    "scheme": "scheme",
-    "record_every": "record_every",
+    "lambda" if f.name == "lam" else f.name: f.name for f in fields(RunConfig) if f.name != "out_dir"
 }
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -231,85 +219,98 @@ ACCUMULATORS = ("k-norms", "entropy", "residuals")
 
 
 class _RunningSums:
-    """The space-time sums of a group's march, reduced once per chunk of steps.
+    """Every per-step quantity of a group's march, reduced once per chunk of steps.
 
-    Each step writes its raw fields into slot ``j`` of the chunk: du and dv
-    of every row (``diffs``), the boundary jump v_1 - v_n of every row
-    (``edges``) and the squared K-norm fields (``k_fields``).  ``flush()``
-    reduces the chunk to cell sums, turns them into left-endpoint increments
-    and adds those with ``np.add.accumulate``: the same float sequence as
-    summing the cells and adding the increment one step at a time.
-    ``totals`` holds, per column, the sums so far: the squared L2 error and
-    the weighted error of each row, the boundary inflow of each row, then
-    the two K norms.  A record point asks for the totals at its step; they
-    are copied out when the chunk holding that step is flushed.
+    A step only writes raw fields into slot ``j`` of the chunk: the padded
+    differences of every relaxed pair from the limit pair (``diffs``), the
+    boundary jump v_1 - v_n of every row (``edges``), the squared K-norm
+    fields (``k_fields``) and, with ``residuals``, the padded vbar row
+    (``vbars``).  ``flush()`` reduces them along the cells, row by row, to
+    phi at the recorded slots and to left-endpoint increments, which it adds
+    with ``np.add.accumulate``: the same float sequence as one step at a
+    time.  ``totals`` holds the sums so far: the squared L2 error and the
+    weighted error of each row, the boundary inflow of each row, the two K
+    norms, then the eight residual integrals of each row.  A record point's
+    totals and phi are copied out when the chunk holding its step is flushed.
     """
 
     FIELD_BYTES = 1 << 19  # the per-step fields of one chunk, at most 256 steps
 
     def __init__(
-        self, params: list[ModelParams], dt: float, dx: float, n_cells: int, k_norms: bool
+        self, params: list[ModelParams], grid: Grid, dt: float, k_norms: bool, residuals: bool
     ) -> None:
-        k = len(params)
+        k, n = len(params), grid.n_cells
         p = params[0]
+        self.params, self.grid, self.residuals = params, grid, residuals
         self.a_cross = p.a if p.flux == model.LINEAR else 0.0
-        self.k, self.dt, self.dtdx = k, dt, dt * dx
+        self.k, self.dt, self.dtdx = k, dt, dt * grid.dx
         self.half_lam2 = 0.5 * p.lam**2
         self.half_eps2 = np.array([0.5 * q.eps**2 for q in params])
         self.eps2_cross = np.array([q.eps**2 * self.a_cross for q in params])
-        self.chunk = c = max(1, min(256, self.FIELD_BYTES // (8 * n_cells * (3 * k + 2 * k_norms))))
-        self.diffs = np.empty((c, k, 2, n_cells))
-        self.cross_cells = np.empty((c, k, n_cells))
+        # cell rows per step: the differences and their products, the K
+        # fields, and the vbar row with the flush's residual integrands
+        rows = 3 * k + 2 * k_norms + 11 * residuals
+        self.chunk = c = max(1, min(256, self.FIELD_BYTES // (8 * (n + 2) * rows)))
+        self.diffs = np.empty((c, k, 2, n + 2))
+        self.vbars = np.empty((c, n + 2) if residuals else (c, 0))
         # without K norms the fields are empty, and their cell sums read 0
-        self.k_fields = np.empty((c, 2, n_cells) if k_norms else (c, 2, 0))
+        self.k_fields = np.empty((c, 2, n) if k_norms else (c, 2, 0))
         self.edges = np.zeros((c, k))
-        self.squares = np.empty((c, k, 2))  # cell sums of du^2 and dv^2
-        self.cross = np.zeros((c, k))  # cell sums of du dv
-        self.k_squares = np.zeros((c, 2))
-        self.scratch = np.empty((c, k))
-        self.acc = np.zeros((c + 1, 3 * k + 2))
+        self.res0 = 3 * k + 2  # the first residual column
+        self.acc = np.zeros((c + 1, self.res0 + 8 * k * residuals))
         self.start = 0  # the step of slot 0
         self.pending: list[int] = []  # recorded steps not yet copied out
         self.recorded: list[np.ndarray] = []
+        self.phi: list[np.ndarray] = []  # per recorded step, phi of each row
+        self.steps: list[np.ndarray] = []  # per step, the running residual integrals
 
     @property
     def totals(self) -> np.ndarray:
         return self.acc[0]
 
     def flush(self, j: int) -> None:
-        """Add the first ``j`` slots to the totals and copy out the records they reach."""
-        k, acc = self.k, self.acc
-        diffs = self.diffs[:j]
-        if self.a_cross != 0.0:
-            np.multiply(diffs[:, :, 0], diffs[:, :, 1], out=self.cross_cells[:j])
-            np.add.reduce(self.cross_cells[:j], axis=-1, out=self.cross[:j])
-        np.multiply(diffs, diffs, out=diffs)
-        np.add.reduce(diffs, axis=-1, out=self.squares[:j])
-        np.add.reduce(self.k_fields[:j], axis=-1, out=self.k_squares[:j])
+        """Add the first ``j`` slots to the totals and copy out the records they reach.
 
-        inc = acc[1 : j + 1]
-        l2, wgt, inflow, k_norms = inc[:, :k], inc[:, k : 2 * k], inc[:, 2 * k : 3 * k], inc[:, 3 * k :]
-        du2, dv2 = self.squares[:j, :, 0], self.squares[:j, :, 1]
-        scratch = self.scratch[:j]
-        # dt dx (du2 + dv2), and dt dx (lam^2/2 du2 + eps^2/2 dv2 - eps^2 a du dv)
-        np.add(du2, dv2, out=l2)
-        np.multiply(self.dtdx, l2, out=l2)
-        np.multiply(self.half_lam2, du2, out=wgt)
-        np.multiply(self.half_eps2, dv2, out=scratch)
-        np.add(wgt, scratch, out=wgt)
-        np.multiply(self.eps2_cross, self.cross[:j], out=scratch)
-        np.subtract(wgt, scratch, out=wgt)
-        np.multiply(self.dtdx, wgt, out=wgt)
-        # boundary HLL fluxes collapse to the edge v under copy ghosts
-        np.multiply(self.dt, self.edges[:j], out=inflow)
-        np.multiply(self.dtdx, self.k_squares[:j], out=k_norms)
-        np.add.accumulate(acc[: j + 1], axis=0, out=acc[: j + 1])
+        A record reaches at most slot ``j``, which it reads but does not add.
+        """
+        k, acc, diffs, dx = self.k, self.acc, self.diffs[:j], self.grid.dx
         reached = [step - self.start for step in self.pending if step <= self.start + j]
+        if reached:
+            rec = self.diffs[reached, :, :, 1:-1]
+            self.phi.append(np.stack([
+                diagnostics.weighted_error_total(q, self.grid, rec[:, i, 0], rec[:, i, 1])
+                for i, q in enumerate(self.params)
+            ], axis=1))
+        inc = acc[1 : j + 1]
+        if self.residuals:
+            dxx_vbar = diagnostics._dxx(dx, self.vbars[:j])
+            for i, q in enumerate(self.params):
+                integrands = diagnostics._residual_integrands(q, dx, diffs[:, i, 0], diffs[:, i, 1], dxx_vbar)
+                for col, cells in enumerate(integrands, start=self.res0 + 8 * i):
+                    inc[:, col] = self.dtdx * np.add.reduce(cells, axis=-1)
+        cells = diffs[..., 1:-1]
+        cross = np.add.reduce(cells[:, :, 0] * cells[:, :, 1], axis=-1) if self.a_cross != 0.0 else 0.0
+        du2, dv2 = np.moveaxis(np.add.reduce(np.multiply(cells, cells, out=cells), axis=-1), -1, 0)
+        inc[:, :k] = self.dtdx * (du2 + dv2)
+        # dt dx (lam^2/2 du2 + eps^2/2 dv2 - eps^2 a du dv)
+        wgt = self.half_lam2 * du2 + self.half_eps2 * dv2 - self.eps2_cross * cross
+        inc[:, k : 2 * k] = self.dtdx * wgt
+        # boundary HLL fluxes collapse to the edge v under copy ghosts
+        inc[:, 2 * k : 3 * k] = self.dt * self.edges[:j]
+        inc[:, 3 * k : self.res0] = self.dtdx * np.add.reduce(self.k_fields[:j], axis=-1)
+        np.add.accumulate(acc[: j + 1], axis=0, out=acc[: j + 1])
+        if self.residuals:
+            self.steps.append(acc[1 : j + 1, self.res0 :].copy())
         if reached:
             self.recorded.append(acc[reached])
             del self.pending[: len(reached)]
         acc[0] = acc[j]
         self.start += j
+
+    def residual_integrals(self, row: int) -> ResidualIntegrals:
+        """The running residual integrals of ``row``, one entry per step."""
+        steps = np.concatenate(self.steps).reshape(-1, self.k, 8)
+        return ResidualIntegrals(self.grid.dx, *steps[:, row].T.copy())
 
 
 def run_group(
@@ -332,13 +333,16 @@ def run_group(
     record points behind ``identity_rel_max`` ("entropy") and the residual
     integrals ("residuals").  K norms not asked for read NaN in the series,
     the other two None in the result.  Profiles and the series file are
-    written for a single eps only.
+    written for a single eps only.  A step only writes raw fields into the
+    chunk of ``_RunningSums``, which reduces them; the entropy budgets alone,
+    which need the states, are evaluated at the record points.
 
     Returns, per eps, its ``RunResult`` or the ``InstabilityError`` that
     ended its row when its cells or its sums stopped being finite; the other
     rows march on.  No step checks the cells: ``march.finite_pairs()`` runs
-    at the record points and at the end.  Raises ``ConfigError`` before
-    marching when any eps makes an invalid config.
+    at the record points and at the end, and the sums are checked at the
+    end, the error sums before the residual integrals.  Raises
+    ``ConfigError`` before marching when any eps makes an invalid config.
     """
     if not set(accumulate) <= set(ACCUMULATORS):
         raise ValueError(f"unknown accumulators in {accumulate!r}, expected some of {ACCUMULATORS}")
@@ -371,6 +375,7 @@ def run_group(
     linear_semi = semi and p.flux == model.LINEAR
     k_norms = "k-norms" in accumulate
     entropy = "entropy" in accumulate and linear_semi
+    residuals = "residuals" in accumulate and linear_semi
     steps = {_step_size(run_cfg) for run_cfg in configs}
     if len(steps) != 1:
         raise ValueError("the eps of one march must share one step size")
@@ -381,18 +386,14 @@ def run_group(
     )
     n_rows = len(configs)
     rows = range(n_rows)
-
-    residuals = "residuals" in accumulate and linear_semi
-    res_accs = [ResidualIntegrals(dx=grid.dx) if residuals else None for _ in rows]
     identity_rel_max = [0.0 if entropy else None for _ in rows]
     failed: list[schemes.InstabilityError | None] = [None for _ in rows]
 
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    sums = _RunningSums(params, dt, grid.dx, grid.n_cells, k_norms)
+    sums = _RunningSums(params, grid, dt, k_norms, residuals)
     t_rec: list[float] = []
-    phi_rec: list[list[float]] = [[] for _ in rows]
     mass0 = grid.dx * float(u0.sum())
     dx = grid.dx
 
@@ -405,13 +406,21 @@ def run_group(
                 )
         return not all(failed)
 
-    def record(k: int, t_k: float, dump_tag: str, diff: np.ndarray) -> None:
+    relaxed, limit = march.pairs[:n_rows], march.pairs[-1]
+    diff_slots, vbar_slots = list(sums.diffs), list(sums.vbars)
+
+    def fill(j: int) -> None:
+        """Write the differences (and vbar) of the current state into slot ``j``."""
+        np.subtract(relaxed, limit, diff_slots[j])
+        if residuals:
+            np.copyto(vbar_slots[j], limit[1])
+
+    def record(k: int, t_k: float, dump_tag: str) -> None:
         t_rec.append(t_k)
         sums.pending.append(k)
         for i in rows:
             if failed[i] is not None:
                 continue
-            phi_rec[i].append(diagnostics.weighted_error_total(params[i], grid, *diff[i]))
             states = march.states(t_k, i) if out_dir is not None or entropy else None
             if out_dir is not None:
                 write_profile(out_dir / f"profile_{dump_tag}.csv", grid, *states)
@@ -421,24 +430,19 @@ def run_group(
 
     v_first, v_last = march.relaxed[:, 1, 0], march.relaxed[:, 1, -1]
     record_every, chunk = config.record_every, sums.chunk
-    diff_slots, edge_slots, k_slots = list(sums.diffs), list(sums.edges), list(sums.k_fields)
+    edge_slots, k_slots = list(sums.edges), list(sums.k_fields)
     j = 0  # the slot of step k in the chunk
     for k in range(n_steps):
-        diff = np.subtract(march.relaxed, march.limit, diff_slots[j])
-
+        fill(j)
         if k == 0 or (record_every > 0 and k % record_every == 0):
             if not check_cells():
                 return failed
-            record(k, k * dt, "initial" if k == 0 else f"{k:08d}", diff)
+            record(k, k * dt, "initial" if k == 0 else f"{k:08d}")
 
         if k_norms:
             march.limit_rate()
             k_fields = march.closure_rates()  # dvbar/dt and D_xx vbar
             np.multiply(k_fields, k_fields, k_slots[j])
-
-        if residuals:
-            for i in rows:
-                res_accs[i].add(params[i], grid, march.pairs[i], march.pairs[-1], dt)
 
         if semi:
             march.rk4_step()
@@ -454,16 +458,22 @@ def run_group(
     if not check_cells():
         return failed
     sums.flush(j)
-    # the cells stay finite while their squares overflow (u ~ 1e200); the
-    # K norms, shared by every row, read 0 when not asked for
+    # the cells stay finite while their squares overflow (u ~ 1e200), or
+    # while only the residual integrands do (u ~ 1e150); the K norms,
+    # shared by every row, read 0 when not asked for
     for i in rows:
-        if failed[i] is None and not np.isfinite(sums.totals[[i, n_rows + i, -2, -1]]).all():
+        errors, res = sums.totals[[i, n_rows + i, 3 * n_rows, 3 * n_rows + 1]], sums.res0 + 8 * i
+        if failed[i] is None and not np.isfinite(errors).all():
             failed[i] = schemes.InstabilityError("non-finite error norms: the squared errors overflow")
+        elif failed[i] is None and not np.isfinite(sums.totals[res : res + 8]).all():
+            failed[i] = schemes.InstabilityError("non-finite residual integrals: the residual terms overflow")
 
-    record(n_steps, p.t_final, "final", np.subtract(march.relaxed, march.limit))
+    # after the flush, the final state takes slot 0
+    fill(0)
+    record(n_steps, p.t_final, "final")
     sums.flush(0)
-    recorded = np.concatenate(sums.recorded)
-    k_series = recorded[:, -2:] if k_norms else np.full((len(t_rec), 2), math.nan)
+    recorded, phi = np.concatenate(sums.recorded), np.concatenate(sums.phi)
+    k_series = recorded[:, 3 * n_rows : sums.res0] if k_norms else np.full((len(t_rec), 2), math.nan)
 
     outcomes: list[RunResult | schemes.InstabilityError] = []
     for i, run_cfg in enumerate(configs):
@@ -474,7 +484,7 @@ def run_group(
         series = ErrorSeries(
             dx=dx,
             t=np.asarray(t_rec),
-            phi=np.asarray(phi_rec[i]),
+            phi=phi[:, i].copy(),
             l2err_sq=recorded[:, i].copy(),
             weighted_sq=recorded[:, n_rows + i].copy(),
             k_dvbar_sq=k_series[:, 0].copy(),
@@ -497,7 +507,7 @@ def run_group(
                 hyp=hyp,
                 lim=lim,
                 series=series,
-                residual_integrals=res_accs[i],
+                residual_integrals=sums.residual_integrals(i) if residuals else None,
                 identity_rel_max=identity_rel_max[i],
                 mass=mass,
             )
@@ -715,11 +725,16 @@ def verify_identity(
     )
 
 
+def residual_config(config: RunConfig) -> RunConfig:
+    """The semi-discrete run of ``config`` that the residual check marches."""
+    return replace(config, scheme=SEMI_DISCRETE, record_every=0, out_dir=None)
+
+
 def verify_residuals(config: RunConfig) -> CheckOutcome:
     """Residual equalities and sign estimates along a semi-discrete run of ``config``."""
     if config.flux != model.LINEAR:
         raise ConfigError(f"the residual check needs the linear flux, not {config.flux!r}")
-    run_cfg = replace(config, scheme=SEMI_DISCRETE, record_every=0, out_dir=None)
+    run_cfg = residual_config(config)
     result = run_pair(run_cfg, accumulate=("residuals",))
     report = diagnostics.residual_sign_checks(result.residual_integrals, run_cfg.params())
     lines = [f"semi-discrete run at eps={run_cfg.eps:g}, {result.step.n_steps} steps"]

@@ -186,18 +186,12 @@ def relative_entropy(p: ModelParams, u, v, ubar, vbar):
     lam^2 du^2/2 + eps^2 dv^2/2 - eps^2 a du dv, nonnegative under the
     subcharacteristic condition.
     """
-    _require_linear(p, "the relative entropy")
-    du = u - ubar
-    dv = v - vbar
-    return 0.5 * p.lam**2 * du * du + 0.5 * p.eps**2 * dv * dv - p.eps**2 * p.a * du * dv
+    return entropy(p, u - ubar, v - vbar)
 
 
 def relative_entropy_flux(p: ModelParams, u, v, ubar, vbar):
     """Relative entropy flux: the F-algebra applied to the differences."""
-    _require_linear(p, "the relative entropy flux")
-    du = u - ubar
-    dv = v - vbar
-    return -0.5 * p.lam**2 * p.a * du * du - 0.5 * p.eps**2 * p.a * dv * dv + p.lam**2 * du * dv
+    return entropy_flux(p, u - ubar, v - vbar)
 
 
 def convexity_bounds(p: ModelParams) -> ConvexityBounds:

@@ -76,6 +76,23 @@ class TestParsing:
             "jinxin: error: semi-discrete integration requires eps > 0"
         )
 
+    @pytest.mark.parametrize("check", ["residuals", "all"])
+    def test_verify_refuses_eps_zero_before_any_check(self, check, monkeypatch, capsys):
+        # the residual check marches the semi-discrete scheme, which needs eps > 0
+        for name in ("verify_identity", "verify_residuals", "run_group"):
+            monkeypatch.setattr(harness, name, None)  # any check would fail loudly
+        with pytest.raises(SystemExit) as err:
+            cli.main(["verify", "--check", check, "--eps", "0"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "jinxin: error: residual check: semi-discrete integration requires eps > 0"
+        )
+
+    def test_theorem_check_ignores_the_config_eps(self, capsys):
+        # the theorem check marches its own eps sweep
+        assert cli.main(["verify", "--check", "theorem", "--eps", "0", "--nx", "20"]) == 0
+        assert capsys.readouterr().out.startswith("[PASS] theorem")
+
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:
             parse_args("run --viscosity 3".split())
@@ -253,6 +270,16 @@ class TestExecution:
         captured = capsys.readouterr()
         assert "PASS" not in captured.out
         assert captured.err.splitlines() == ["error: non-finite error norms: the squared errors overflow"]
+
+    def test_overflowing_residual_integrals_are_an_error(self, capsys):
+        # the cells and the error norms stay finite; ||D_xx vbar||^2 overflows
+        argv = ["verify", "--check", "residuals", "--u-left", "1e150", "--nx", "40", "--tfinal", "0.01"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert captured.err.splitlines() == [
+            "error: non-finite residual integrals: the residual terms overflow"
+        ]
 
     @pytest.mark.parametrize("u_left, message", [
         ("1e200", "error: non-finite error norms: the squared errors overflow"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jinxin import diagnostics, harness, model, schemes
-from jinxin.diagnostics import ErrorSeries, ResidualIntegrals
+from jinxin.diagnostics import ErrorSeries
 from jinxin.harness import RunConfig
 from jinxin.model import Grid, ModelParams
 from jinxin.schemes import HyperbolicState, LimitState
@@ -20,11 +20,6 @@ def random_smooth(rng, x, scale=1.0):
     for k in range(1, 5):
         out += rng.normal(scale=scale / k) * np.sin(np.pi * k * xi) * window
     return out
-
-
-def ghost_padded(hyp, lim):
-    """The pairs (u, v) and (ubar, vbar), each row with a copy ghost per side."""
-    return np.array([model.pad_edges(w) for w in (hyp.u, hyp.v, lim.ubar, lim.vbar)]).reshape(2, 2, -1)
 
 
 def weighted_error(p, grid, hyp, lim):
@@ -207,20 +202,14 @@ class TestIdentityMismatch:
 
 
 class TestResidualChecks:
-    def trajectory_accumulator(self, eps=0.1, n_cells=100, t_final=0.02):
-        p = ModelParams(eps=eps, lam=0.72, a=0.5, t_final=t_final)
-        grid = Grid(n_cells=n_cells)
-        u, v, ub, vb = model.riemann_initial(p, grid, 2.0, 1.0)
-        step = schemes.semi_discrete_dt(p, grid)
-        march = schemes.PairMarch(p, grid, step.dt, u, v, ub, vb)
-        acc = ResidualIntegrals(dx=grid.dx)
-        for _ in range(step.n_steps):
-            acc.add(p, grid, *march.pairs, step.dt)
-            march.rk4_step()
-        return p, acc
+    def trajectory_integrals(self, eps=0.1, n_cells=100, t_final=0.02):
+        config = RunConfig(eps=eps, lam=0.72, a=0.5, n_cells=n_cells, t_final=t_final,
+                           scheme="semi-discrete")
+        result = harness.run_pair(config, accumulate=("residuals",))
+        return config.params(), result.residual_integrals
 
     def test_estimates_along_trajectory(self):
-        p, acc = self.trajectory_accumulator()
+        p, acc = self.trajectory_integrals()
         report = diagnostics.residual_sign_checks(acc, p)
         assert report.r1_equality_ok and report.r1_rel_defect <= 1e-12
         assert report.r2_equality_ok and report.r2_rel_defect <= 1e-12
@@ -230,16 +219,15 @@ class TestResidualChecks:
         assert len(report.lines()) == 4
 
     def test_trivial_zero_trajectory(self, base_params):
-        acc = ResidualIntegrals(dx=0.01)
-        grid = Grid(n_cells=100)
-        ubar = np.full(100, 1.0)
-        lim = LimitState(ubar=ubar, vbar=model.equilibrium_v(base_params, grid, ubar), t=0.0)
-        hyp = HyperbolicState(u=ubar.copy(), v=lim.vbar.copy(), t=0.0)
-        for _ in range(3):
-            acc.add(base_params, grid, *ghost_padded(hyp, lim), 0.01)
+        # a flat state on the closure: u = ubar = 1 and v = vbar on 100 cells (dx = 0.01)
+        config = RunConfig(eps=base_params.eps, lam=base_params.lam, a=base_params.a, n_cells=100,
+                           t_final=0.0005, u_left=1.0, u_right=1.0, scheme="semi-discrete")
+        result = harness.run_pair(config, accumulate=("residuals",))
+        acc = result.residual_integrals
+        assert result.step.n_steps == 3 and acc.dx == 0.01
         report = diagnostics.residual_sign_checks(acc, base_params)
         assert report.all_ok
-        assert acc.int_r1 == 0.0 and acc.int_r2 == 0.0
+        assert np.all(acc.int_r1 == 0.0) and np.all(acc.int_r2 == 0.0)
 
 
 class TestSpaceTimeError:

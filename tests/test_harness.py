@@ -33,9 +33,17 @@ def assert_same_run(got, expected):
         for f in fields(a):
             assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
     assert got.mass == expected.mass
-    assert got.residual_integrals == expected.residual_integrals
+    assert_same_integrals(got.residual_integrals, expected.residual_integrals)
     assert got.identity_rel_max == expected.identity_rel_max
     assert (got.config, got.grid, got.step) == (expected.config, expected.grid, expected.step)
+
+
+def assert_same_integrals(got, expected):
+    """Two residual-integral records equal field by field, bit for bit, or both None."""
+    assert (got is None) == (expected is None)
+    if got is not None:
+        for f in fields(got):
+            assert np.array_equal(getattr(got, f.name), getattr(expected, f.name)), f.name
 
 
 class TestConfig:
@@ -236,7 +244,7 @@ class TestRunPair:
             else:
                 assert part.identity_rel_max is None
             if asked == ("residuals",) and scheme == "semi-discrete":
-                assert part.residual_integrals.snapshots == full.residual_integrals.snapshots
+                assert_same_integrals(part.residual_integrals, full.residual_integrals)
             else:
                 assert part.residual_integrals is None
             assert part.mass == full.mass
@@ -439,6 +447,40 @@ class TestRunGroup:
         assert result.series.l2err_sq.tolist() == l2_rec + [l2]
         assert result.series.weighted_sq.tolist() == weighted_rec + [weighted]
         assert result.mass.boundary_inflow == inflow
+
+    def test_chunked_residuals_and_phi_match_a_step_by_step_evaluation(self):
+        # every step is a record point, and the two eps share each chunk;
+        # the reference evaluates the public diagnostics on a lone march
+        cfg = RunConfig(n_cells=64, t_final=0.12, scheme="semi-discrete", record_every=1)
+        epsilons = (0.1, 0.05)
+        grouped = run_group(cfg, epsilons, accumulate=("residuals",))
+        grid, step = cfg.grid(), grouped[0].step
+        dt, dx = step.dt, grid.dx
+        assert step.n_steps > 256  # more than one chunk of the running sums
+        for eps, result in zip(epsilons, grouped):
+            p = replace(cfg, eps=eps).params()
+            march = schemes.PairMarch(p, grid, dt, *model.riemann_initial(p, grid, 2.0, 1.0))
+            phi, running, per_step = [], [0.0] * 8, []
+            for k in range(step.n_steps + 1):
+                hyp, lim = march.states(k * dt)
+                du, dv = hyp.u - lim.ubar, hyp.v - lim.vbar
+                phi.append(diagnostics.weighted_error_total(p, grid, du, dv))
+                if k == step.n_steps:
+                    break
+                vbar = model.pad_edges(lim.vbar)
+                dxx_vbar = (vbar[2:] - 2.0 * vbar[1:-1] + vbar[:-2]) / dx**2
+                grad_du, grad_dv, relax = np.diff(du) / dx, np.diff(dv) / dx, dv - p.a * du
+                cells = (
+                    *diagnostics.residuals(p, grid, hyp, lim),
+                    grad_du * grad_du, grad_dv * grad_dv, dxx_vbar * dxx_vbar, relax * relax,
+                )
+                running = [total + dt * dx * float(c.sum()) for total, c in zip(running, cells)]
+                per_step.append(running)
+                march.rk4_step()
+            assert np.array_equal(result.series.phi, phi), eps
+            integrals = result.residual_integrals
+            for f, expected in zip(fields(integrals)[1:], np.array(per_step).T):
+                assert np.array_equal(getattr(integrals, f.name), expected), (eps, f.name)
 
     @pytest.mark.parametrize("scheme", ["jpt", "semi-discrete"])
     def test_a_failed_row_stays_in_its_row(self, scheme, monkeypatch):
