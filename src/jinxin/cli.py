@@ -102,10 +102,14 @@ def parse_args(argv) -> Command:
         for name in harness.CONFIG_KEYS.values()
         if getattr(ns, name, None) is not None
     }
+    eps_list = ()
+    if ns.command == "study":
+        eps_list = ns.eps_list if ns.eps_list is not None else tuple(harness.DEFAULT_EPS_SWEEP)
     try:
         values = harness.load_config_file(ns.config) if ns.config is not None else {}
         values.update(overrides)  # flags beat the file
         if ns.command == "study":
+            harness.study_sweep(eps_list)
             # the rate protocol starts from the closure so the initial relative
             # entropy vanishes; profile runs keep the flat-equilibrium start
             values.setdefault("well_prepared", True)
@@ -120,16 +124,12 @@ def parse_args(argv) -> Command:
             harness.residual_config(config).validate()
         except ConfigError as exc:
             parser.error(f"residual check: {exc}")
-    eps_list = ()
-    if ns.command == "study":
-        eps_list = ns.eps_list if ns.eps_list is not None else tuple(harness.DEFAULT_EPS_SWEEP)
-        for eps in eps_list:
-            trial = replace(config, eps=eps)
-            try:
-                trial.validate()
-                harness.study_cells(trial, eps)
-            except ConfigError as exc:
-                parser.error(f"eps={eps:g}: {exc}")
+    for eps in eps_list:
+        try:
+            replace(config, eps=eps).validate()
+            harness.study_cells(config, eps)
+        except ConfigError as exc:
+            parser.error(f"eps={eps:g}: {exc}")
     return Command(
         kind=ns.command,
         config=config,

@@ -531,6 +531,14 @@ def _step_size(config: RunConfig) -> StepSize:
     return schemes.marching_dt(p, grid)
 
 
+def study_sweep(epsilons) -> list[float]:
+    """The distinct eps of a rate study, in decreasing order; ``ConfigError`` if fewer than two."""
+    sweep = sorted(set(float(e) for e in epsilons), reverse=True)
+    if len(sweep) < 2:
+        raise ConfigError(f"rate fit needs at least two points, got {len(sweep)} distinct eps")
+    return sweep
+
+
 def study_cells(config: RunConfig, eps: float) -> int:
     """Grid rule of the eps sweep: n = max(base, ceil(width / eps)).
 
@@ -614,12 +622,11 @@ def convergence_study(config: RunConfig, epsilons=DEFAULT_EPS_SWEEP) -> StudyRes
     Each eps gets the grid rule's resolution.  The eps that share a grid and
     a step march as one group (``_march_sweep``), with results identical to
     lone runs.  Failures are recorded and the sweep continues.  Results are
-    keyed by eps, in decreasing order.  When fewer than two points survive,
-    the slope and intercept are NaN and the failures say why.
+    keyed by eps, in decreasing order.  Fewer than two distinct eps raise
+    ``ConfigError`` before marching; when fewer than two points survive, the
+    slope and intercept are NaN and the failures say why.
     """
-    sweep = sorted(set(float(e) for e in epsilons), reverse=True)
-    if len(sweep) < 2:
-        raise ValueError("rate fit needs at least two points")
+    sweep = study_sweep(epsilons)
     configs = [
         replace(config, eps=eps, n_cells=study_cells(config, eps), record_every=0, out_dir=None)
         for eps in sweep

@@ -24,9 +24,6 @@ LINEAR = "linear"
 BURGERS = "burgers"
 FLUX_KINDS = (LINEAR, BURGERS)
 
-# Cell fields are plain float64 arrays, one entry per cell.
-CellField = np.ndarray
-
 
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):

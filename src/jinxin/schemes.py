@@ -19,18 +19,17 @@ catches every blow-up, pair by pair.
 
 The arrays are short (a few hundred cells), so a step costs NumPy calls,
 not arithmetic, and a call on one contiguous 1-D span costs about half of
-one on a strided 2-D view.  So each kernel works on flat spans of
-ghost-padded rows: a stencil reads ``f[2:]``, ``f[1:-1]`` and ``f[:-2]``
-of the flattened rows at once, and a per-row constant becomes an array
-with one entry per slot.  The slots of a span that fall on a ghost, or
-straddle two rows, carry junk: no cell reads them, and the ghost refresh
-that ends every step (and every RK4 stage) overwrites the junk a kernel
-writes into the block's ghosts.  Scratch buffers start zeroed, since a few
-junk slots are never written.  Only ops that must pair rows up or skip
-some go through 2-D views: the swapped sums and jumps of each pair, the
-relaxation source added to each dv/dt, and the relaxed v written back.
-Each kernel is a tuple of (ufunc, operands) calls, ``out`` last, built once
-when the march is made; a step replays its tuple.
+one on a strided 2-D view.  So the march lays its rows out in two halves,
+every u row and then every v row, and each kernel works on flat spans of
+whole ghost-padded rows: a stencil reads ``f[2:]``, ``f[1:-1]`` and
+``f[:-2]`` of the flattened rows at once, and a per-row constant becomes an
+array with one entry per slot.  The slots that fall on a ghost, or straddle
+two rows, carry junk: no cell reads them, the ghost refresh that ends every
+step and RK4 stage overwrites the junk written into the block's ghosts, and
+scratch buffers start zeroed.  A row's partner sits one half further on, so
+the only ops on 2-D views are the pair swaps, on two contiguous rows, and
+the ghost refresh.  Each kernel is a tuple of (ufunc, operands) calls,
+``out`` last, built once with the march; a step replays its tuple.
 """
 
 from __future__ import annotations
@@ -131,10 +130,10 @@ def _per_row(values, width: int) -> np.ndarray:
     return np.repeat(np.asarray(values, dtype=float), width)
 
 
-def _padded(*rows) -> np.ndarray:
-    """Stack cell fields into one float64 block with a copy ghost at each end."""
-    block = _zeros((len(rows), len(rows[0]) + 2))
-    block[:, 1:-1] = rows
+def _padded(*pairs) -> np.ndarray:
+    """(u, v) pairs of cell fields as a block of ghost-padded rows: every u row, then every v row."""
+    block = _zeros((2, len(pairs), len(pairs[0][0]) + 2))
+    block.transpose(1, 0, 2)[:, :, 1:-1] = pairs
     _run(_ghost_ops(block))
     return block
 
@@ -145,34 +144,49 @@ def _ghost_ops(block: np.ndarray) -> tuple:
     The zero-gradient closure of ``model.pad_edges``: the strided views pick
     the ghosts (0, n+1) and the edge cells (1, n) they copy.
     """
-    n = block.shape[-1] - 2
-    return ((np.copyto, (block[..., :: n + 1], block[..., 1 : n + 1 : n - 1])),)
+    rows = block.reshape(-1, block.shape[-1])
+    n = rows.shape[1] - 2
+    return ((np.copyto, (rows[:, :: n + 1], rows[:, 1 : n + 1 : n - 1])),)
 
 
-def _hll_ops(p: ModelParams, rows: np.ndarray, dt_dx: float) -> tuple:
-    """HLL convection of ghost-padded (u, v) pairs, in place on their cells.
+def _second_difference_ops(row: np.ndarray, out: np.ndarray) -> tuple:
+    """(w_{i+1} - 2 w_i) + w_{i-1} on the flat span ``row[1:-1]``, into ``out``."""
+    return (
+        (np.multiply, (2.0, row[1:-1], out)),
+        (np.subtract, (row[2:], out, out)),
+        (np.add, (out, row[:-2], out)),
+    )
 
-    ``rows`` has shape (2k, n+2): k pairs, each marched on its own.  The
-    interface fluxes
+
+def _hll_ops(p: ModelParams, block: np.ndarray, dt_dx: float) -> tuple:
+    """HLL convection of the relaxed pairs of a ghost-padded block, in place on their cells.
+
+    ``block`` has shape (2, k+1, n+2), each half ending at its limit row.
+    The interface fluxes
         F_u = (v_i + v_{i+1})/2 - lam (u_{i+1} - u_i)/2
         F_v = lam^2 (u_i + u_{i+1})/2 - lam (v_{i+1} - v_i)/2
-    take one call per stage on the flat span of all rows; only the
-    neighbour sums, entering with each pair swapped and the coefficients
-    [1/2, lam^2/2], go through a (k, 2, n+2) view.
+    take one call per stage: the neighbour sums on the whole block, entering
+    with the halves swapped and the coefficients [1/2, lam^2/2], and every
+    later stage on the flat span of every row but vbar.  The ubar row of that
+    span gets a dt/dx of 0, and x - 0 = x leaves its cells as they were.
     """
-    flat = rows.reshape(-1)
-    left, right, cells = flat[:-1], flat[1:], flat[1:-1]
-    terms, fluxes = _zeros((2, len(rows) // 2, 2, rows.shape[1]))
-    flat_terms, flat_fluxes = terms.reshape(-1)[:-1], fluxes.reshape(-1)[:-1]
+    k, width = block.shape[1] - 1, block.shape[2]
+    flat = block.reshape(-1)
+    end = flat.size - width
+    left, right, cells = flat[: end - 1], flat[1:end], flat[1 : end - 1]
+    terms, fluxes = _zeros((2, 2, block[0].size))
+    sums, diffs = terms.reshape(-1)[:-1], terms.reshape(-1)[: end - 1]
+    flat_fluxes = fluxes.reshape(-1)[: end - 1]
     change = _zeros(cells.shape)
+    dt_dx_slots = _per_row([dt_dx] * k + [0.0] + [dt_dx] * k, width)[1:-1]
     return (
-        (np.add, (left, right, flat_terms)),
-        (np.multiply, (np.array([[0.5], [0.5 * p.lam**2]]), terms[:, ::-1], fluxes)),
-        (np.subtract, (right, left, flat_terms)),
-        (np.multiply, (0.5 * p.lam, flat_terms, flat_terms)),
-        (np.subtract, (flat_fluxes, flat_terms, flat_fluxes)),
+        (np.add, (flat[:-1], flat[1:], sums)),
+        (np.multiply, (np.array([[0.5], [0.5 * p.lam**2]]), terms[::-1], fluxes)),
+        (np.subtract, (right, left, diffs)),
+        (np.multiply, (0.5 * p.lam, diffs, diffs)),
+        (np.subtract, (flat_fluxes, diffs, flat_fluxes)),
         (np.subtract, (flat_fluxes[1:], flat_fluxes[:-1], change)),
-        (np.multiply, (dt_dx, change, change)),
+        (np.multiply, (dt_dx_slots, change, change)),
         (np.subtract, (cells, change, cells)),
     )
 
@@ -194,25 +208,17 @@ def _closure_ops(p: ModelParams, dx: float, rows: np.ndarray, coef, out: np.ndar
     )
 
 
-def _limit_rate_ops(p: ModelParams, dx: float, rows: np.ndarray, second: np.ndarray, rate) -> tuple:
-    """dubar/dt of the ghost-padded rows (ubar, vbar), into ``rate``.
+def _limit_rate_ops(p: ModelParams, dx: float, ubar: np.ndarray, vbar: np.ndarray, rate) -> tuple:
+    """dubar/dt of the ghost-padded rows ``ubar`` and ``vbar``, into ``rate``.
 
     The centered vbar flux plus the lam-viscosity of the HLL operator:
         (lam (ubar_{i+1} - 2 ubar_i + ubar_{i-1}) - (vbar_{i+1} - vbar_{i-1})) / (2 dx).
-    ``second`` has one padded row per second difference to keep: that of
-    ubar, and with a second row that of vbar as well.
     """
-    n = rows.shape[1] - 2
-    flat, size = rows.reshape(-1), second.size
-    east, center, west = flat[2:size], flat[1 : size - 1], flat[: size - 2]
-    second = second.reshape(-1)[1:-1]
-    jump = _zeros(n)
+    jump = _zeros(len(rate))
     return (
-        (np.multiply, (2.0, center, second)),
-        (np.subtract, (east, second, second)),
-        (np.add, (second, west, second)),
-        (np.multiply, (p.lam, second[:n], rate)),
-        (np.subtract, (flat[n + 4 :], flat[n + 2 : -2], jump)),
+        *_second_difference_ops(ubar, rate),
+        (np.multiply, (p.lam, rate, rate)),
+        (np.subtract, (vbar[2:], vbar[:-2], jump)),
         (np.subtract, (rate, jump, rate)),
         (np.divide, (rate, 2.0 * dx, rate)),
     )
@@ -241,57 +247,50 @@ def _closure_rate_ops(p: ModelParams, dx: float, ubar, rate_padded: np.ndarray, 
 
 
 def _pair_rate_ops(
-    p: ModelParams, dx: float, rows: np.ndarray, epsilons: tuple[float, ...], limit: bool,
-    out: np.ndarray,
+    p: ModelParams, dx: float, block: np.ndarray, epsilons: tuple[float, ...], out: np.ndarray
 ) -> tuple:
-    """Method-of-lines rates of the ghost-padded pairs in ``rows``, into the cells of ``out``.
+    """Method-of-lines rates of the ghost-padded pairs of ``block``, into the cells of ``out``.
 
-    ``rows`` holds one relaxed pair (u, v) per entry of ``epsilons``, then,
-    with ``limit``, the limit pair (ubar, vbar).  Terms are formed and summed
-    as written:
+    ``block`` has shape (2, m, n+2), the u half and the v half: its first
+    pairs are the relaxed ones, one per entry of ``epsilons``, and a last
+    pair beyond them is the limit pair (ubar, vbar).  Terms are formed and
+    summed as written:
         du/dt = -(v_{i+1} - v_{i-1})/(2dx) + lam ((u_{i+1} - 2u_i) + u_{i-1})/(2dx)
         dv/dt = -lam^2 (u_{i+1} - u_{i-1})/(2dx eps^2)
                 + lam ((v_{i+1} - 2v_i) + v_{i-1})/(2dx) + (f(u) - v)/eps^2
-    and dubar/dt as du/dt with vbar for v.  ``out`` has one padded row per
-    row before vbar: the limit pair has no row of its own for dvbar/dt.
-    Each term is one call on the flat span of all rows, but for two that
-    pair rows up through views: the jumps of each pair swapped, and the
-    source (f(u) - v)/eps^2 of each u row added to the rate of its v row.
+    and dubar/dt as du/dt with vbar for v.  ``out`` holds the padded rows of
+    the whole u half, then of the relaxed v rows, at their slots in
+    ``block``; vbar has no rate of its own.  Each term is one call on a flat
+    span, the jumps of the two halves entering swapped.
     """
-    width = rows.shape[1]
-    eps2 = [eps**2 for eps in epsilons]
-    flat, size = rows.reshape(-1), out.size
-    east, center, west = flat[2:size], flat[1 : size - 1], flat[: size - 2]
-    rates = out.reshape(-1)[1:-1]
-    jumps, first = _zeros((2, len(rows) // 2, 2, width))
+    half, width, size = block[0].size, block.shape[2], out.size
+    flat, rates = block.reshape(-1), out.reshape(-1)[1:-1]
+    jumps, first = _zeros((2, 2, half))
     first_rates = first.reshape(-1)[1 : size - 1]
-    denom = [d for e2 in eps2 for d in (2.0 * dx, 2.0 * dx * e2)] + [2.0 * dx] * limit
-    coef = np.array([[[-1.0], [-p.lam**2]]] * len(eps2) + [[[-1.0], [0.0]]] * limit)
-    second = _zeros(size)[1:-1]
+    eps2 = [eps**2 for eps in epsilons]
+    denom = _per_row([2.0 * dx] * block.shape[1] + [2.0 * dx * e2 for e2 in eps2], width)
+    second = _zeros(size - 2)
     ops = (
         (np.subtract, (flat[2:], flat[:-2], jumps.reshape(-1)[1:-1])),
-        (np.multiply, (coef, jumps[:, ::-1], first)),
-        (np.divide, (first_rates, _per_row(denom, width)[1:-1], first_rates)),
-        (np.multiply, (2.0, center, second)),
-        (np.subtract, (east, second, second)),
-        (np.add, (second, west, second)),
+        (np.multiply, (np.array([[-1.0], [-p.lam**2]]), jumps[::-1], first)),
+        (np.divide, (first_rates, denom[1:-1], first_rates)),
+        *_second_difference_ops(flat[:size], second),
         (np.multiply, (p.lam, second, second)),
         (np.divide, (second, 2.0 * dx, second)),
         (np.add, (first_rates, second, rates)),
     )
     if not eps2:
         return ops
-    # the span from u_1 to u_k; the v rows between carry junk
-    n_src = 2 * len(eps2) - 1
-    source = _zeros((n_src, width))
-    span = source.reshape(-1)[1:-1]
-    eps2_rows = _per_row([e2 for e2 in eps2 for _ in (0, 1)][:n_src], width)[1:-1]
-    dv_dt, src = out[1 : n_src + 1 : 2, 1:-1], source[::2, 1:-1]
+    # the source (f(u) - v)/eps^2 of the relaxed u rows, added to the rates
+    # of the relaxed v rows; both spans end where the limit rows begin
+    end = len(eps2) * width - 1
+    source = _zeros(end - 1)
+    dv_dt = rates[half : half + end - 1]
     return ops + (
-        *flux_ops(p.flux, p.a, flat[1 : n_src * width - 1], span),
-        (np.subtract, (span, flat[width + 1 : (n_src + 1) * width - 1], span)),
-        (np.divide, (span, eps2_rows, span)),
-        (np.add, (dv_dt, src, dv_dt)),
+        *flux_ops(p.flux, p.a, flat[1:end], source),
+        (np.subtract, (source, flat[half + 1 : half + end], source)),
+        (np.divide, (source, _per_row(eps2, width)[1:-1], source)),
+        (np.add, (dv_dt, source, dv_dt)),
     )
 
 
@@ -299,29 +298,28 @@ class PairMarch:
     """Relaxed pairs and their shared eps -> 0 limit, marched in place side by side.
 
     One relaxed pair (u, v) per entry of ``epsilons`` (default: ``p.eps``
-    alone) and the one limit pair (ubar, vbar) are the rows
-    u_1, v_1, ..., u_k, v_k, ubar, vbar of one float64 block of shape
-    (2k+2, n+2), each with one copy ghost per side; ``pairs`` views it as
-    (k+1, 2, n+2).  Every relaxed pair starts from (u, v) and differs from
-    the others only in its eps: the per-eps constants are columns, one entry
-    per row, so no kernel mixes rows.  ``ubar`` and ``vbar`` view the limit
-    cells; ``u`` and ``v`` view the relaxed cells, one row per eps, or the
-    cells themselves when there is one eps.  Two steppers share the block
-    and the dt.  One step of the splitting scheme is
+    alone) and the one limit pair (ubar, vbar) live in one float64 block of
+    shape (2, k+1, n+2), in two halves: the rows u_1, ..., u_k, ubar, then
+    v_1, ..., v_k, vbar, each with one copy ghost per side.  ``pairs`` is
+    the transposed view (k+1, 2, n+2).  Every relaxed pair starts from
+    (u, v) and differs from the others only in its eps: the per-eps
+    constants are columns, one entry per row, so no kernel mixes pairs.
+    ``ubar`` and ``vbar`` view the limit cells; ``u`` and ``v`` view the
+    relaxed cells, one row per eps, or the cells themselves when there is
+    one eps.  Two steppers share the block and the dt.  One step of the
+    splitting scheme is
 
         convect()     explicit half: HLL convection of every (u, v), then
                       the forward-Euler limit update ubar += dt dubar/dt
-        relax()       implicit half: one centered gradient of (u, ubar)
+        relax()       implicit half: one centered gradient of the u half
                       gives the relaxation targets of v and the closure vbar
 
     and one step of the semi-discrete scheme is ``rk4_step()``: classical
     RK4 of all method-of-lines pairs, vbar re-closed after every stage.
     ``limit_rate()`` returns dubar/dt of the current limit pair; convect()
     computes it itself unless limit_rate() already did for this state.
-    Each of them replays an op sequence built here, on flat spans of the
-    block and of the RK4 stage block; junk written into ghosts is
-    overwritten by the ghost refresh that closes each step and stage.
-    Neither stepper allocates nor checks finiteness: that is
+    Each of them replays an op sequence built here.  Neither stepper
+    allocates nor checks finiteness: that is
     ``finite_pairs()``, for the caller to run where it reads the cells.
     With ``curvature`` the march also serves ``closure_rates()``, the fields
     behind the K norms.
@@ -335,77 +333,73 @@ class PairMarch:
         n, width, dx = grid.n_cells, grid.n_cells + 2, grid.dx
         epsilons = (p.eps,) if epsilons is None else tuple(epsilons)
         k = len(epsilons)
-        self.block = block = _padded(*(u, v) * k, ubar, vbar)
-        self.pairs = pairs = block.reshape(k + 1, 2, width)
+        self.block = block = _padded(*[(u, v)] * k, (ubar, vbar))
+        self.pairs = pairs = block.transpose(1, 0, 2)
         self.relaxed, self.limit = pairs[:k, :, 1:-1], pairs[k, :, 1:-1]
         self.ubar, self.vbar = self.limit
-        self.u, self.v = self.relaxed[0] if k == 1 else self.relaxed.transpose(1, 0, 2)
+        self.u, self.v = self.relaxed[0] if k == 1 else block[:, :k, 1:-1]
         flat = block.reshape(-1)
         refresh = _ghost_ops(block)
-        v_rows = slice(1, 2 * k, 2)
+        # the slots of one half, and the end of the relaxed rows in each half
+        half, relaxed_end = block[0].size, k * width
 
         rate_padded = _zeros(width)
         self._rate = rate = rate_padded[1:-1]
-        second = _zeros((2 if curvature else 1, width))
-        self._rate_ops = _limit_rate_ops(p, dx, block[-2:], second, rate)
+        self._rate_ops = _limit_rate_ops(p, dx, *block[:, k], rate)
         self._rate_current = False
         increment = _zeros(n)
         self._convect_ops = (
-            *_hll_ops(p, block[: 2 * k], dt / dx),
+            *_hll_ops(p, block, dt / dx),
             (np.multiply, (dt, rate, increment)),
             (np.add, (self.ubar, increment, self.ubar)),
             *refresh,
         )
 
-        # the closure of each u row and of ubar lands one row down: the
+        # the closure of the u half lines up with the v half: the
         # relaxation targets beside the v rows, the closure vbar beside vbar
-        targets, scratch = _zeros((2, 2 * k + 2, width))
-        to_v, s_flat = slice(width + 1, 2 * k * width - 1), scratch.reshape(-1)
-        coefs = [c for eps in epsilons for c in ((1.0 - eps**2) * p.lam**2, 0.0)] + [p.lam**2]
-        weights = _per_row([w for eps in epsilons for w in (0.0, eps**2 / (eps**2 + dt))], width)
+        targets = _zeros(half)
+        target_span, v_span = targets[1 : relaxed_end - 1], flat[half + 1 : half + relaxed_end - 1]
+        scratch = _zeros(v_span.shape)
+        coefs = [(1.0 - eps**2) * p.lam**2 for eps in epsilons] + [p.lam**2]
+        weights = _per_row([eps**2 / (eps**2 + dt) for eps in epsilons], width)[1:-1]
         self._relax_ops = (
-            *_closure_ops(
-                p, dx, flat[: (2 * k + 1) * width], _per_row(coefs, width)[1:-1],
-                targets.reshape(-1)[width + 1 : -1],
-            ),
+            *_closure_ops(p, dx, flat[:half], _per_row(coefs, width)[1:-1], targets[1:-1]),
             # v <- target + w (v - target): this form keeps equilibria exact,
             # and w = eps^2/(eps^2 + dt) = 0 at eps = 0 lands v on the closure
-            (np.subtract, (flat[to_v], targets.reshape(-1)[to_v], s_flat[to_v])),
-            (np.multiply, (weights[to_v], s_flat[to_v], s_flat[to_v])),
-            (np.add, (targets[v_rows, 1:-1], scratch[v_rows, 1:-1], block[v_rows, 1:-1])),
-            (np.copyto, (self.vbar, targets[-1, 1:-1])),
+            (np.subtract, (v_span, target_span, scratch)),
+            (np.multiply, (weights, scratch, scratch)),
+            (np.add, (target_span, scratch, v_span)),
+            (np.copyto, (self.vbar, targets[relaxed_end + 1 : -1])),
             *refresh,
         )
 
         if curvature:
-            self._k_fields = _zeros((2, n))
+            self._k_fields = k_fields = _zeros((2, n))
             self._closure_rate_ops = (
-                *_closure_rate_ops(p, dx, self.ubar, rate_padded, self._k_fields[0]),
-                (np.divide, (second[1, 1:-1], dx * dx, self._k_fields[1])),
+                *_closure_rate_ops(p, dx, self.ubar, rate_padded, k_fields[0]),
+                *_second_difference_ops(block[1, k], k_fields[1]),
+                (np.divide, (k_fields[1], dx * dx, k_fields[1])),
             )
 
         # RK4 on the span of every row but vbar; the stage re-closes vbar
+        span = half + relaxed_end
         stage = _zeros(block.shape)
-        rates = _zeros((4, 2 * k + 1, width))
-        k_flat = [r.reshape(-1)[1:-1] for r in rates]
-        y0, y = flat[1 : (2 * k + 1) * width - 1], stage.reshape(-1)[1 : (2 * k + 1) * width - 1]
+        rates = _zeros((4, span))
+        k_flat = [r[1:-1] for r in rates]
+        y0, y = flat[1 : span - 1], stage.reshape(-1)[1 : span - 1]
 
         def close(b: np.ndarray) -> tuple:
-            # the ghosts of every row but vbar, vbar re-closed, then its ghosts
-            b_flat = b.reshape(-1)
-            return (
-                *_ghost_ops(b[:-1]),
-                *_closure_ops(p, dx, b_flat[2 * k * width : -width], p.lam**2, b_flat[-width + 1 : -1]),
-                *_ghost_ops(b[-1]),
-            )
+            # every ghost, vbar re-closed, then the ghosts of vbar
+            closure = _closure_ops(p, dx, b[0, k], p.lam**2, b[1, k, 1:-1])
+            return (*_ghost_ops(b), *closure, *_ghost_ops(b[1, k]))
 
-        ops = _pair_rate_ops(p, dx, block, epsilons, limit=True, out=rates[0])
+        ops = _pair_rate_ops(p, dx, block, epsilons, out=rates[0])
         for i, h in enumerate((0.5 * dt, 0.5 * dt, dt)):
             ops += (
                 (np.multiply, (h, k_flat[i], y)),
                 (np.add, (y0, y, y)),
                 *close(stage),
-                *_pair_rate_ops(p, dx, stage, epsilons, limit=True, out=rates[i + 1]),
+                *_pair_rate_ops(p, dx, stage, epsilons, out=rates[i + 1]),
             )
         k2_k3 = rates[1:3].reshape(-1)
         self._rk4_ops = ops + (
@@ -444,8 +438,7 @@ class PairMarch:
 
     def finite_pairs(self) -> list[bool]:
         """Per relaxed pair, whether its cells and those of the limit pair are all finite."""
-        finite = np.isfinite(self.block).reshape(len(self.pairs), -1)
-        *pairs, limit = np.logical_and.reduce(finite, axis=1).tolist()
+        *pairs, limit = np.isfinite(self.block).all(axis=(0, 2)).tolist()
         return [pair and limit for pair in pairs]
 
     def closure_rates(self) -> np.ndarray:
@@ -470,7 +463,7 @@ def semi_discrete_rhs(p: ModelParams, grid: Grid, state: HyperbolicState) -> np.
     if p.eps <= 0:
         raise ValueError("the semi-discrete relaxed system requires eps > 0")
     rates = _zeros((2, grid.n_cells + 2))
-    _run(_pair_rate_ops(p, grid.dx, _padded(state.u, state.v), (p.eps,), limit=False, out=rates))
+    _run(_pair_rate_ops(p, grid.dx, _padded((state.u, state.v)), (p.eps,), out=rates))
     return rates[:, 1:-1]
 
 
@@ -488,8 +481,8 @@ def limit_semi_discrete_rhs(p: ModelParams, grid: Grid, state: LimitState):
     gap = np.abs(state.vbar - vbar).max()
     if gap > ALGEBRAIC_TOL:
         raise ValueError(f"limit state violates the algebraic closure by {gap:.3e}")
-    block = _padded(state.ubar, vbar)
+    block = _padded((state.ubar, vbar))
     rate, dvbar_dt = _zeros(grid.n_cells + 2), _zeros(grid.n_cells)
-    _run(_pair_rate_ops(p, grid.dx, block, (), limit=True, out=rate[None]))
-    _run(_closure_rate_ops(p, grid.dx, block[0, 1:-1], rate, dvbar_dt))
+    _run(_pair_rate_ops(p, grid.dx, block, (), out=rate))
+    _run(_closure_rate_ops(p, grid.dx, block[0, 0, 1:-1], rate, dvbar_dt))
     return rate[1:-1], dvbar_dt

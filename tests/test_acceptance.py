@@ -150,3 +150,17 @@ def test_ac9_synthetic_rate_fit_oracle():
     gap = abs(slope - 4.0)
     report(9, "synthetic eps^4 slope recovery", gap <= 1e-12,
            f"|slope - 4| = {gap:.2e} <= 1e-12")
+
+
+def test_ac10_semi_discrete_linear_rate():
+    # the paper's rate on its own object: the semi-discrete relaxed pair
+    # against the discrete convection-diffusion limit
+    t0 = time.perf_counter()
+    config = RunConfig(flux="linear", lam=0.72, a=0.5, cfl=0.95, t_final=0.1,
+                       u_left=2.0, u_right=1.0, n_cells=200, well_prepared=True,
+                       scheme="semi-discrete")
+    result = harness.convergence_study(config, harness.DEFAULT_EPS_SWEEP)
+    elapsed = time.perf_counter() - t0
+    ok = 3.5 <= result.slope <= 4.5 and not result.failures and elapsed < 120.0
+    report(10, "semi-discrete linear eps^4 rate", ok,
+           f"slope={result.slope:.4f} in [3.5, 4.5], {elapsed:.1f}s < 120s")

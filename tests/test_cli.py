@@ -68,6 +68,16 @@ class TestParsing:
         assert err.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == f"jinxin: error: eps=0: {reason}"
 
+    @pytest.mark.parametrize("eps_list", ["0.1", "0.1,0.1"])
+    def test_study_refuses_fewer_than_two_distinct_eps(self, eps_list, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "run_group", None)  # any march would fail loudly
+        with pytest.raises(SystemExit) as err:
+            cli.main(["study", "--eps-list", eps_list])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "jinxin: error: rate fit needs at least two points, got 1 distinct eps"
+        )
+
     def test_semi_discrete_run_refuses_eps_zero(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["run", "--scheme", "semi-discrete", "--eps", "0"])
