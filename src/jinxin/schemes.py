@@ -144,9 +144,8 @@ def _ghost_ops(block: np.ndarray) -> tuple:
     The zero-gradient closure of ``model.pad_edges``: the strided views pick
     the ghosts (0, n+1) and the edge cells (1, n) they copy.
     """
-    rows = block.reshape(-1, block.shape[-1])
-    n = rows.shape[1] - 2
-    return ((np.copyto, (rows[:, :: n + 1], rows[:, 1 : n + 1 : n - 1])),)
+    n = block.shape[-1] - 2
+    return ((np.copyto, (block[..., :: n + 1], block[..., 1 : n + 1 : n - 1])),)
 
 
 def _second_difference_ops(row: np.ndarray, out: np.ndarray) -> tuple:
@@ -158,8 +157,8 @@ def _second_difference_ops(row: np.ndarray, out: np.ndarray) -> tuple:
     )
 
 
-def _hll_ops(p: ModelParams, block: np.ndarray, dt_dx: float) -> tuple:
-    """HLL convection of the relaxed pairs of a ghost-padded block, in place on their cells.
+def _hll_ops(p: ModelParams, block: np.ndarray, dt: float, dx: float, rate: np.ndarray) -> tuple:
+    """HLL convection of the relaxed pairs and forward-Euler update of ubar, in place.
 
     ``block`` has shape (2, k+1, n+2), each half ending at its limit row.
     The interface fluxes
@@ -167,8 +166,9 @@ def _hll_ops(p: ModelParams, block: np.ndarray, dt_dx: float) -> tuple:
         F_v = lam^2 (u_i + u_{i+1})/2 - lam (v_{i+1} - v_i)/2
     take one call per stage: the neighbour sums on the whole block, entering
     with the halves swapped and the coefficients [1/2, lam^2/2], and every
-    later stage on the flat span of every row but vbar.  The ubar row of that
-    span gets a dt/dx of 0, and x - 0 = x leaves its cells as they were.
+    later stage on the flat span of every row but vbar.  The ubar row of
+    that span takes -dubar/dt (``rate``) for its flux difference and dt for
+    its dt/dx, so it ends at ubar - dt (-rate) = ubar + dt rate, bit for bit.
     """
     k, width = block.shape[1] - 1, block.shape[2]
     flat = block.reshape(-1)
@@ -178,7 +178,7 @@ def _hll_ops(p: ModelParams, block: np.ndarray, dt_dx: float) -> tuple:
     sums, diffs = terms.reshape(-1)[:-1], terms.reshape(-1)[: end - 1]
     flat_fluxes = fluxes.reshape(-1)[: end - 1]
     change = _zeros(cells.shape)
-    dt_dx_slots = _per_row([dt_dx] * k + [0.0] + [dt_dx] * k, width)[1:-1]
+    steps = _per_row([dt / dx] * k + [dt] + [dt / dx] * k, width)[1:-1]
     return (
         (np.add, (flat[:-1], flat[1:], sums)),
         (np.multiply, (np.array([[0.5], [0.5 * p.lam**2]]), terms[::-1], fluxes)),
@@ -186,7 +186,8 @@ def _hll_ops(p: ModelParams, block: np.ndarray, dt_dx: float) -> tuple:
         (np.multiply, (0.5 * p.lam, diffs, diffs)),
         (np.subtract, (flat_fluxes, diffs, flat_fluxes)),
         (np.subtract, (flat_fluxes[1:], flat_fluxes[:-1], change)),
-        (np.multiply, (dt_dx_slots, change, change)),
+        (np.negative, (rate, change[k * width : (k + 1) * width - 2])),
+        (np.multiply, (steps, change, change)),
         (np.subtract, (cells, change, cells)),
     )
 
@@ -339,7 +340,7 @@ class PairMarch:
         self.ubar, self.vbar = self.limit
         self.u, self.v = self.relaxed[0] if k == 1 else block[:, :k, 1:-1]
         flat = block.reshape(-1)
-        refresh = _ghost_ops(block)
+        refresh = _ghost_ops(block.reshape(-1, width))
         # the slots of one half, and the end of the relaxed rows in each half
         half, relaxed_end = block[0].size, k * width
 
@@ -347,13 +348,7 @@ class PairMarch:
         self._rate = rate = rate_padded[1:-1]
         self._rate_ops = _limit_rate_ops(p, dx, *block[:, k], rate)
         self._rate_current = False
-        increment = _zeros(n)
-        self._convect_ops = (
-            *_hll_ops(p, block, dt / dx),
-            (np.multiply, (dt, rate, increment)),
-            (np.add, (self.ubar, increment, self.ubar)),
-            *refresh,
-        )
+        self._convect_ops = (*_hll_ops(p, block, dt, dx, rate), *refresh)
 
         # the closure of the u half lines up with the v half: the
         # relaxation targets beside the v rows, the closure vbar beside vbar
@@ -391,7 +386,7 @@ class PairMarch:
         def close(b: np.ndarray) -> tuple:
             # every ghost, vbar re-closed, then the ghosts of vbar
             closure = _closure_ops(p, dx, b[0, k], p.lam**2, b[1, k, 1:-1])
-            return (*_ghost_ops(b), *closure, *_ghost_ops(b[1, k]))
+            return (*_ghost_ops(b.reshape(-1, width)), *closure, *_ghost_ops(b[1, k]))
 
         ops = _pair_rate_ops(p, dx, block, epsilons, out=rates[0])
         for i, h in enumerate((0.5 * dt, 0.5 * dt, dt)):
