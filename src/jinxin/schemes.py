@@ -310,8 +310,9 @@ class PairMarch:
     one eps.  Two steppers share the block and the dt.  One step of the
     splitting scheme is
 
-        convect()     explicit half: HLL convection of every (u, v), then
-                      the forward-Euler limit update ubar += dt dubar/dt
+        convect()     explicit half: HLL convection of every (u, v) and,
+                      in the same span, the forward-Euler limit update
+                      ubar += dt dubar/dt
         relax()       implicit half: one centered gradient of the u half
                       gives the relaxation targets of v and the closure vbar
 
