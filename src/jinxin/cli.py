@@ -127,7 +127,7 @@ def parse_args(argv) -> Command:
     for eps in eps_list:
         try:
             replace(config, eps=eps).validate()
-            harness.study_cells(config, eps)
+            replace(config, eps=eps, n_cells=harness.study_cells(config, eps)).validate()
         except ConfigError as exc:
             parser.error(f"eps={eps:g}: {exc}")
     return Command(

@@ -47,9 +47,14 @@ def weighted_error_total(p: ModelParams, grid: Grid, du: np.ndarray, dv: np.ndar
     relaxation-scaled weights are kept, giving the norm in which the eps^4
     convergence rate is measured.
     """
+    sums = (np.add.reduce(x * y, axis=-1) for x, y in ((du, du), (dv, dv), (du, dv)))
+    return _weighted_form(p, p.eps, grid.dx, *sums)
+
+
+def _weighted_form(p: ModelParams, eps, dx: float, du2, dv2, cross):
+    """``weighted_error_total`` on the cell sums of du^2, dv^2 and du dv; ``eps`` may be one per column."""
     a_cross = p.a if p.flux == LINEAR else 0.0
-    dens = 0.5 * p.lam**2 * du * du + 0.5 * p.eps**2 * dv * dv - p.eps**2 * a_cross * du * dv
-    return grid.dx * dens.sum(axis=-1)
+    return dx * (0.5 * p.lam**2 * du2 + 0.5 * eps**2 * dv2 - eps**2 * a_cross * cross)
 
 
 def discrete_re_flux(p: ModelParams, du_l, dv_l, du_r, dv_r):

@@ -76,13 +76,13 @@ class RunConfig:
             raise ConfigError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
         if self.record_every < 0:
             raise ConfigError("record_every must be >= 0")
+        # the step rule builds the grid, and refuses a semi-discrete eps <= 0
+        # and a step that yields no finite step count
         try:
             p = self.params()
-            self.grid()
+            _step_size(self)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.scheme == SEMI_DISCRETE and self.eps <= 0:
-            raise ConfigError("semi-discrete integration requires eps > 0")
         for name in ("u_left", "u_right"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -226,12 +226,15 @@ class _RunningSums:
     boundary jump v_1 - v_n of every row (``edges``), the squared K-norm
     fields (``k_fields``) and, with ``residuals``, the padded vbar row
     (``vbars``).  ``flush()`` reduces them along the cells, row by row, to
-    phi at the recorded slots and to left-endpoint increments, which it adds
-    with ``np.add.accumulate``: the same float sequence as one step at a
-    time.  ``totals`` holds the sums so far: the squared L2 error and the
-    weighted error of each row, the boundary inflow of each row, the two K
-    norms, then the eight residual integrals of each row.  A record point's
-    totals and phi are copied out when the chunk holding its step is flushed.
+    left-endpoint increments, which it adds with ``np.add.accumulate``: the
+    same float sequence as one step at a time.  The cell sums of du^2, dv^2
+    and du dv of every slot go through the quadratic form of
+    ``diagnostics.weighted_error_total`` once per chunk: its phi is what the
+    records read, and dt phi is what the weighted error gains per step.
+    ``totals`` holds the sums so far: the squared L2 error and the weighted
+    error of each row, the boundary inflow of each row, the two K norms,
+    then the eight residual integrals of each row.  A record point's totals
+    and phi are copied out when the chunk holding its step is flushed.
     """
 
     FIELD_BYTES = 1 << 19  # the per-step fields of one chunk, at most 256 steps
@@ -240,13 +243,9 @@ class _RunningSums:
         self, params: list[ModelParams], grid: Grid, dt: float, k_norms: bool, residuals: bool
     ) -> None:
         k, n = len(params), grid.n_cells
-        p = params[0]
         self.params, self.grid, self.residuals = params, grid, residuals
-        self.a_cross = p.a if p.flux == model.LINEAR else 0.0
         self.k, self.dt, self.dtdx = k, dt, dt * grid.dx
-        self.half_lam2 = 0.5 * p.lam**2
-        self.half_eps2 = np.array([0.5 * q.eps**2 for q in params])
-        self.eps2_cross = np.array([q.eps**2 * self.a_cross for q in params])
+        self.eps = np.array([q.eps for q in params])
         # cell rows per step: the differences and their products, the K
         # fields, and the vbar row with the flush's residual integrands
         rows = 3 * k + 2 * k_norms + 11 * residuals
@@ -275,12 +274,6 @@ class _RunningSums:
         """
         k, acc, diffs, dx = self.k, self.acc, self.diffs[:j], self.grid.dx
         reached = [step - self.start for step in self.pending if step <= self.start + j]
-        if reached:
-            rec = self.diffs[reached, :, :, 1:-1]
-            self.phi.append(np.stack([
-                diagnostics.weighted_error_total(q, self.grid, rec[:, i, 0], rec[:, i, 1])
-                for i, q in enumerate(self.params)
-            ], axis=1))
         inc = acc[1 : j + 1]
         if self.residuals:
             dxx_vbar = diagnostics._dxx(dx, self.vbars[:j])
@@ -288,13 +281,19 @@ class _RunningSums:
                 integrands = diagnostics._residual_integrands(q, dx, diffs[:, i, 0], diffs[:, i, 1], dxx_vbar)
                 for col, cells in enumerate(integrands, start=self.res0 + 8 * i):
                     inc[:, col] = self.dtdx * np.add.reduce(cells, axis=-1)
-        cells = diffs[..., 1:-1]
-        cross = np.add.reduce(cells[:, :, 0] * cells[:, :, 1], axis=-1) if self.a_cross != 0.0 else 0.0
+        # the cell sums of every slot that holds a state: the j steps, and
+        # slot j when a record reaches it; the cross sums (none for Burgers),
+        # then the squares in place
+        cells = self.diffs[: j + (j in reached), ..., 1:-1]
+        linear = self.params[0].flux == model.LINEAR
+        cross = np.add.reduce(cells[:, :, 0] * cells[:, :, 1], axis=-1) if linear else 0.0
         du2, dv2 = np.moveaxis(np.add.reduce(np.multiply(cells, cells, out=cells), axis=-1), -1, 0)
-        inc[:, :k] = self.dtdx * (du2 + dv2)
-        # dt dx (lam^2/2 du2 + eps^2/2 dv2 - eps^2 a du dv)
-        wgt = self.half_lam2 * du2 + self.half_eps2 * dv2 - self.eps2_cross * cross
-        inc[:, k : 2 * k] = self.dtdx * wgt
+        phi = diagnostics._weighted_form(self.params[0], self.eps, dx, du2, dv2, cross)
+        if reached:
+            self.phi.append(phi[reached])
+        inc[:, :k] = self.dtdx * (du2 + dv2)[:j]
+        # left-endpoint rule: the weighted error gains dt phi per step
+        inc[:, k : 2 * k] = self.dt * phi[:j]
         # boundary HLL fluxes collapse to the edge v under copy ghosts
         inc[:, 2 * k : 3 * k] = self.dt * self.edges[:j]
         inc[:, 3 * k : self.res0] = self.dtdx * np.add.reduce(self.k_fields[:j], axis=-1)
@@ -544,11 +543,14 @@ def study_cells(config: RunConfig, eps: float) -> int:
 
     Keeps dx <= eps so the dx-dependent residual terms stay subdominant and
     no resolution floor contaminates the fitted rate.  Raises ``ConfigError``
-    for eps <= 0, which no grid resolves.
+    for eps <= 0, which no grid resolves, and for an eps so small that
+    width / eps overflows.
     """
     if not eps > 0:
         raise ConfigError(f"the grid rule dx <= eps needs eps > 0, got {eps:g}")
     width = config.x_max - config.x_min
+    if not math.isfinite(width / eps):
+        raise ConfigError(f"the grid rule dx <= eps needs more cells than a float counts at eps={eps:g}")
     n = max(config.n_cells, math.ceil(width / eps))
     if width / n > eps:
         raise ConfigError(f"grid rule failed to reach dx <= eps for eps={eps}")

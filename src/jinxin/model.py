@@ -212,10 +212,9 @@ def convexity_bounds(p: ModelParams) -> ConvexityBounds:
 
 
 def equilibrium_v(p: ModelParams, grid: Grid, ubar: np.ndarray) -> np.ndarray:
-    """Discrete closure v = f(u) - lam^2 * centered gradient of u."""
+    """Discrete closure v = f(u) - lam^2 * centered gradient of u, as (lam^2/(2 dx)) (u_{i+1} - u_{i-1})."""
     ext = pad_edges(np.asarray(ubar, dtype=float))
-    grad = (ext[2:] - ext[:-2]) / (2.0 * grid.dx)
-    return flux_eval(p.flux, p.a, np.asarray(ubar, dtype=float)) - p.lam**2 * grad
+    return flux_eval(p.flux, p.a, ext[1:-1]) - p.lam**2 / (2.0 * grid.dx) * (ext[2:] - ext[:-2])
 
 
 def riemann_initial(

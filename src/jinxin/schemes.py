@@ -5,7 +5,9 @@ both marched in place by ``PairMarch``:
 
 * a fully discrete 2-step splitting (explicit HLL convection at the frozen
   wave speeds +-lam, then a closed-form implicit relaxation solve), whose
-  eps -> 0 limit is an explicit scheme for the convection-diffusion problem;
+  eps -> 0 limit is an explicit scheme for the convection-diffusion problem:
+  the limit update is the HLL convection of the ubar row, with the closure
+  vbar in its flux, and the relaxation solve at eps = 0 is that closure;
 * the method-of-lines systems (continuous in time) for both the relaxed and
   the limiting equations, integrated with classical RK4 for the entropy
   diagnostics.
@@ -23,13 +25,15 @@ one on a strided 2-D view.  So the march lays its rows out in two halves,
 every u row and then every v row, and each kernel works on flat spans of
 whole ghost-padded rows: a stencil reads ``f[2:]``, ``f[1:-1]`` and
 ``f[:-2]`` of the flattened rows at once, and a per-row constant becomes an
-array with one entry per slot.  The slots that fall on a ghost, or straddle
-two rows, carry junk: no cell reads them, the ghost refresh that ends every
-step and RK4 stage overwrites the junk written into the block's ghosts, and
-scratch buffers start zeroed.  A row's partner sits one half further on, so
-the only ops on 2-D views are the pair swaps, on two contiguous rows, and
-the ghost refresh.  Each kernel is a tuple of (ufunc, operands) calls,
-``out`` last, built once with the march; a step replays its tuple.
+array with one entry per slot.  A stencil term takes its constants (dt/dx,
+lam, 1/(2 dx), 1/eps^2) folded into one coefficient, so one multiply.  The
+slots that fall on a ghost, or straddle two rows, carry junk: no cell reads
+them, the ghost refresh that ends every step and RK4 stage overwrites the
+junk written into the block's ghosts, and scratch buffers start zeroed.
+A row's partner sits one half further on, so the only ops on 2-D views are
+the pair swaps, on two contiguous rows, and the ghost refresh.  Each kernel
+is a tuple of (ufunc, operands) calls, ``out`` last, built once with the
+march; a step replays its tuple.
 """
 
 from __future__ import annotations
@@ -75,7 +79,11 @@ class StepSize:
 def _land_on_t_final(dt_raw: float, t_final: float) -> StepSize:
     # Round dt down so the march hits t_final exactly; space-time error
     # norms need both solutions sampled on the same uniform step ladder.
-    n = max(1, math.ceil(t_final / dt_raw))
+    # A dt that underflows to 0, or a step count that overflows, is refused.
+    ratio = t_final / dt_raw if dt_raw > 0 else math.inf
+    if not math.isfinite(ratio):
+        raise ValueError(f"the step rule gives dt = {dt_raw:g}: no finite step count reaches t_final")
+    n = max(1, math.ceil(ratio))
     return StepSize(dt=t_final / n, n_steps=n)
 
 
@@ -157,20 +165,21 @@ def _second_difference_ops(row: np.ndarray, out: np.ndarray) -> tuple:
     )
 
 
-def _hll_ops(p: ModelParams, block: np.ndarray, dt: float, dx: float, rate: np.ndarray) -> tuple:
-    """HLL convection of the relaxed pairs and forward-Euler update of ubar, in place.
+def _hll_ops(p: ModelParams, block: np.ndarray, dt: float, dx: float) -> tuple:
+    """HLL convection of every u row and of the relaxed v rows, in place.
 
     ``block`` has shape (2, k+1, n+2), each half ending at its limit row.
-    The interface fluxes
-        F_u = (v_i + v_{i+1})/2 - lam (u_{i+1} - u_i)/2
-        F_v = lam^2 (u_i + u_{i+1})/2 - lam (v_{i+1} - v_i)/2
+    The interface fluxes, scaled by r = dt/dx,
+        r F_u = r (v_i + v_{i+1})/2 - r lam (u_{i+1} - u_i)/2
+        r F_v = r lam^2 (u_i + u_{i+1})/2 - r lam (v_{i+1} - v_i)/2
     take one call per stage: the neighbour sums on the whole block, entering
-    with the halves swapped and the coefficients [1/2, lam^2/2], and every
-    later stage on the flat span of every row but vbar.  The ubar row of
-    that span takes -dubar/dt (``rate``) for its flux difference and dt for
-    its dt/dx, so it ends at ubar - dt (-rate) = ubar + dt rate, bit for bit.
+    with the halves swapped and the coefficients [r/2, r lam^2/2], and every
+    later stage on the flat span of every row but vbar.  The ubar row is
+    convected like a relaxed u row, with vbar in its flux: that is the
+    eps -> 0 limit update of the splitting scheme.  vbar itself is left to
+    the closure of the relaxation half.
     """
-    k, width = block.shape[1] - 1, block.shape[2]
+    width, r = block.shape[2], dt / dx
     flat = block.reshape(-1)
     end = flat.size - width
     left, right, cells = flat[: end - 1], flat[1:end], flat[1 : end - 1]
@@ -178,22 +187,19 @@ def _hll_ops(p: ModelParams, block: np.ndarray, dt: float, dx: float, rate: np.n
     sums, diffs = terms.reshape(-1)[:-1], terms.reshape(-1)[: end - 1]
     flat_fluxes = fluxes.reshape(-1)[: end - 1]
     change = _zeros(cells.shape)
-    steps = _per_row([dt / dx] * k + [dt] + [dt / dx] * k, width)[1:-1]
     return (
         (np.add, (flat[:-1], flat[1:], sums)),
-        (np.multiply, (np.array([[0.5], [0.5 * p.lam**2]]), terms[::-1], fluxes)),
+        (np.multiply, (np.array([[0.5 * r], [0.5 * p.lam**2 * r]]), terms[::-1], fluxes)),
         (np.subtract, (right, left, diffs)),
-        (np.multiply, (0.5 * p.lam, diffs, diffs)),
+        (np.multiply, (0.5 * p.lam * r, diffs, diffs)),
         (np.subtract, (flat_fluxes, diffs, flat_fluxes)),
         (np.subtract, (flat_fluxes[1:], flat_fluxes[:-1], change)),
-        (np.negative, (rate, change[k * width : (k + 1) * width - 2])),
-        (np.multiply, (steps, change, change)),
         (np.subtract, (cells, change, cells)),
     )
 
 
 def _closure_ops(p: ModelParams, dx: float, rows: np.ndarray, coef, out: np.ndarray) -> tuple:
-    """f(w) - c (w_{i+1} - w_{i-1}) / (2 dx) on the flat span ``rows[1:-1]``, into ``out``.
+    """f(w) - (c / (2 dx)) (w_{i+1} - w_{i-1}) on the flat span ``rows[1:-1]``, into ``out``.
 
     With c = lam^2 this is the discrete closure of the limit pair (as in
     ``equilibrium_v``); with c = (1 - eps^2) lam^2 it is the target of the
@@ -202,31 +208,14 @@ def _closure_ops(p: ModelParams, dx: float, rows: np.ndarray, coef, out: np.ndar
     grad = _zeros(out.shape)
     return (
         (np.subtract, (rows[2:], rows[:-2], grad)),
-        (np.divide, (grad, 2.0 * dx, grad)),
-        (np.multiply, (coef, grad, grad)),
+        (np.multiply, (coef / (2.0 * dx), grad, grad)),
         *flux_ops(p.flux, p.a, rows[1:-1], out),
         (np.subtract, (out, grad, out)),
     )
 
 
-def _limit_rate_ops(p: ModelParams, dx: float, ubar: np.ndarray, vbar: np.ndarray, rate) -> tuple:
-    """dubar/dt of the ghost-padded rows ``ubar`` and ``vbar``, into ``rate``.
-
-    The centered vbar flux plus the lam-viscosity of the HLL operator:
-        (lam (ubar_{i+1} - 2 ubar_i + ubar_{i-1}) - (vbar_{i+1} - vbar_{i-1})) / (2 dx).
-    """
-    jump = _zeros(len(rate))
-    return (
-        *_second_difference_ops(ubar, rate),
-        (np.multiply, (p.lam, rate, rate)),
-        (np.subtract, (vbar[2:], vbar[:-2], jump)),
-        (np.subtract, (rate, jump, rate)),
-        (np.divide, (rate, 2.0 * dx, rate)),
-    )
-
-
 def _closure_rate_ops(p: ModelParams, dx: float, ubar, rate_padded: np.ndarray, out) -> tuple:
-    """dvbar/dt = f'(ubar) dubar/dt - lam^2 (r_{i+1} - r_{i-1}) / (2 dx), r = dubar/dt.
+    """dvbar/dt = f'(ubar) dubar/dt - (lam^2 / (2 dx)) (r_{i+1} - r_{i-1}), r = dubar/dt.
 
     The closure differentiated through dubar/dt (chain rule, no time
     differencing), which keeps the discrete entropy identity exact.
@@ -240,8 +229,7 @@ def _closure_rate_ops(p: ModelParams, dx: float, ubar, rate_padded: np.ndarray, 
     return (
         *_ghost_ops(rate_padded),
         (np.subtract, (rate_padded[2:], rate_padded[:-2], diffusive)),
-        (np.multiply, (p.lam**2, diffusive, diffusive)),
-        (np.divide, (diffusive, 2.0 * dx, diffusive)),
+        (np.multiply, (p.lam**2 / (2.0 * dx), diffusive, diffusive)),
         (np.multiply, (speed, rate_padded[1:-1], out)),
         (np.subtract, (out, diffusive, out)),
     )
@@ -255,10 +243,10 @@ def _pair_rate_ops(
     ``block`` has shape (2, m, n+2), the u half and the v half: its first
     pairs are the relaxed ones, one per entry of ``epsilons``, and a last
     pair beyond them is the limit pair (ubar, vbar).  Terms are formed and
-    summed as written:
-        du/dt = -(v_{i+1} - v_{i-1})/(2dx) + lam ((u_{i+1} - 2u_i) + u_{i-1})/(2dx)
-        dv/dt = -lam^2 (u_{i+1} - u_{i-1})/(2dx eps^2)
-                + lam ((v_{i+1} - 2v_i) + v_{i-1})/(2dx) + (f(u) - v)/eps^2
+    summed as written, each constant folded into one coefficient:
+        du/dt = (-1/(2dx)) (v_{i+1} - v_{i-1}) + (lam/(2dx)) ((u_{i+1} - 2u_i) + u_{i-1})
+        dv/dt = (-lam^2/(2dx eps^2)) (u_{i+1} - u_{i-1})
+                + (lam/(2dx)) ((v_{i+1} - 2v_i) + v_{i-1}) + (f(u) - v)/eps^2
     and dubar/dt as du/dt with vbar for v.  ``out`` holds the padded rows of
     the whole u half, then of the relaxed v rows, at their slots in
     ``block``; vbar has no rate of its own.  Each term is one call on a flat
@@ -269,15 +257,19 @@ def _pair_rate_ops(
     jumps, first = _zeros((2, 2, half))
     first_rates = first.reshape(-1)[1 : size - 1]
     eps2 = [eps**2 for eps in epsilons]
-    denom = _per_row([2.0 * dx] * block.shape[1] + [2.0 * dx * e2 for e2 in eps2], width)
+    # the swapped jumps, u's from v and v's from u; a vbar row takes 0.
+    # Every march builds these ops, and a splitting march admits an eps
+    # whose eps^2 is 0: its coefficient reads -inf, in ops that never run.
+    stiff = np.zeros(block.shape[1])
+    with np.errstate(divide="ignore", over="ignore"):
+        stiff[: len(eps2)] = -p.lam**2 / (2.0 * dx * np.array(eps2, dtype=float))
+    swap = np.stack((np.full(half, -1.0 / (2.0 * dx)), _per_row(stiff, width)))
     second = _zeros(size - 2)
     ops = (
         (np.subtract, (flat[2:], flat[:-2], jumps.reshape(-1)[1:-1])),
-        (np.multiply, (np.array([[-1.0], [-p.lam**2]]), jumps[::-1], first)),
-        (np.divide, (first_rates, denom[1:-1], first_rates)),
+        (np.multiply, (swap, jumps[::-1], first)),
         *_second_difference_ops(flat[:size], second),
-        (np.multiply, (p.lam, second, second)),
-        (np.divide, (second, 2.0 * dx, second)),
+        (np.multiply, (p.lam / (2.0 * dx), second, second)),
         (np.add, (first_rates, second, rates)),
     )
     if not eps2:
@@ -310,21 +302,20 @@ class PairMarch:
     one eps.  Two steppers share the block and the dt.  One step of the
     splitting scheme is
 
-        convect()     explicit half: HLL convection of every (u, v) and,
-                      in the same span, the forward-Euler limit update
-                      ubar += dt dubar/dt
+        convect()     explicit half: HLL convection of every (u, v) and, in
+                      the same span, of (ubar, vbar): the limit update is
+                      the HLL convection of the ubar row, vbar in its flux
         relax()       implicit half: one centered gradient of the u half
                       gives the relaxation targets of v and the closure vbar
 
     and one step of the semi-discrete scheme is ``rk4_step()``: classical
     RK4 of all method-of-lines pairs, vbar re-closed after every stage.
-    ``limit_rate()`` returns dubar/dt of the current limit pair; convect()
-    computes it itself unless limit_rate() already did for this state.
-    Each of them replays an op sequence built here.  Neither stepper
-    allocates nor checks finiteness: that is
-    ``finite_pairs()``, for the caller to run where it reads the cells.
-    With ``curvature`` the march also serves ``closure_rates()``, the fields
-    behind the K norms.
+    ``limit_rate()`` returns dubar/dt of the current limit pair, in the op
+    order of the RK4 rates, for the K norms; no step needs it.  Each of
+    them replays an op sequence built here.  Neither stepper allocates nor
+    checks finiteness: that is ``finite_pairs()``, for the caller to run
+    where it reads the cells.  With ``curvature`` the march also serves
+    ``closure_rates()``, the fields behind the K norms.
     """
 
     def __init__(
@@ -345,11 +336,7 @@ class PairMarch:
         # the slots of one half, and the end of the relaxed rows in each half
         half, relaxed_end = block[0].size, k * width
 
-        rate_padded = _zeros(width)
-        self._rate = rate = rate_padded[1:-1]
-        self._rate_ops = _limit_rate_ops(p, dx, *block[:, k], rate)
-        self._rate_current = False
-        self._convect_ops = (*_hll_ops(p, block, dt, dx, rate), *refresh)
+        self._convect_ops = (*_hll_ops(p, block, dt, dx), *refresh)
 
         # the closure of the u half lines up with the v half: the
         # relaxation targets beside the v rows, the closure vbar beside vbar
@@ -369,6 +356,13 @@ class PairMarch:
             *refresh,
         )
 
+        # dubar/dt by the RK4 rates' ops, on a contiguous copy of the limit pair
+        limit_pair, rate_padded = _zeros((2, 1, width)), _zeros(width)
+        self._rate = rate_padded[1:-1]
+        self._rate_ops = (
+            (np.copyto, (limit_pair, block[:, k : k + 1])),
+            *_pair_rate_ops(p, dx, limit_pair, (), out=rate_padded),
+        )
         if curvature:
             self._k_fields = k_fields = _zeros((2, n))
             self._closure_rate_ops = (
@@ -407,21 +401,16 @@ class PairMarch:
         )
 
     def limit_rate(self) -> np.ndarray:
-        """dubar/dt of the current limit pair, as used by the next convect()."""
-        self._rate_current = True
+        """dubar/dt of the current limit pair, by the ops of the RK4 rates, for the K norms."""
         _run(self._rate_ops)
         return self._rate
 
     def convect(self) -> None:
-        """Explicit half step of every pair."""
-        if not self._rate_current:
-            _run(self._rate_ops)
-        self._rate_current = False
+        """Explicit half step: HLL convection of every pair, ubar with vbar in its flux."""
         _run(self._convect_ops)
 
     def relax(self) -> None:
         """Implicit half step: relaxation solve of every v, algebraic closure of vbar."""
-        self._rate_current = False
         _run(self._relax_ops)
 
     def rk4_step(self) -> None:
@@ -429,7 +418,6 @@ class PairMarch:
 
         Stages y0 + (dt/2) k and y0 + dt k, then y0 + (((k1 + 2 k2) + 2 k3) + k4) dt/6.
         """
-        self._rate_current = False
         _run(self._rk4_ops)
 
     def finite_pairs(self) -> list[bool]:

@@ -38,7 +38,6 @@ def pair_march(p: ModelParams, grid: Grid, dt: float, u, v, ubar=None) -> scheme
 def split_steps(march: schemes.PairMarch, n: int = 1) -> schemes.PairMarch:
     """n splitting steps of both pairs, in the order ``harness.run_pair`` takes them."""
     for _ in range(n):
-        march.limit_rate()
         march.convect()
         march.relax()
     return march

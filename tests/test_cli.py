@@ -98,6 +98,33 @@ class TestParsing:
             "jinxin: error: residual check: semi-discrete integration requires eps > 0"
         )
 
+    @pytest.mark.parametrize("argv, reason", [
+        ("run --scheme semi-discrete --eps 1e-300 --nx 10 --tfinal 0.001",
+         "the step rule gives dt = 0: no finite step count reaches t_final"),
+        ("study --scheme semi-discrete --eps-list 1e-1,1e-300 --nx 10 --tfinal 0.001",
+         "eps=1e-300: the step rule gives dt = 0: no finite step count reaches t_final"),
+        ("verify --check residuals --eps 1e-300",
+         "residual check: the step rule gives dt = 0: no finite step count reaches t_final"),
+        ("run --scheme semi-discrete --eps 1e-160 --nx 10 --tfinal 0.001",
+         "the step rule gives dt = 4.99994e-321: no finite step count reaches t_final"),
+        ("run --cfl 1e-320 --nx 10",
+         "the step rule gives dt = 1.92686e-322: no finite step count reaches t_final"),
+        # the sweep point's own grid: 1e300 cells, whose dx^2 underflows
+        ("study --eps-list 1e-1,1e-300 --nx 10 --tfinal 0.001",
+         "eps=1e-300: the step rule gives dt = 0: no finite step count reaches t_final"),
+        ("study --eps-list 1e-1,1e-310 --nx 10 --tfinal 0.001",
+         "eps=1e-310: the grid rule dx <= eps needs more cells than a float counts at eps=1e-310"),
+    ])
+    def test_a_step_rule_without_a_finite_step_count_is_refused(self, argv, reason, monkeypatch, capsys):
+        # dt underflows to 0, or t_final/dt overflows: refused at parse time
+        monkeypatch.setattr(harness, "run_group", None)  # any march would fail loudly
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv.split())
+        assert err.value.code == 2
+        assert [line for line in capsys.readouterr().err.splitlines() if "error" in line] == [
+            f"jinxin: error: {reason}"
+        ]
+
     def test_theorem_check_ignores_the_config_eps(self, capsys):
         # the theorem check marches its own eps sweep
         assert cli.main(["verify", "--check", "theorem", "--eps", "0", "--nx", "20"]) == 0

@@ -4,6 +4,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, seed, settings
+from hypothesis import strategies as st
 
 from jinxin import diagnostics, harness, model, schemes
 from jinxin.diagnostics import ErrorSeries
@@ -108,6 +110,65 @@ class TestConfig:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ConfigError, match="scheme"):
             make_config(None, scheme="spectral")
+
+
+def mostly(typical, *edges):
+    """``typical`` three times in four, else one of ``edges``."""
+    return st.one_of(typical, typical, typical, st.sampled_from(edges))
+
+
+# small configs, with the values that once escaped as tracebacks among them
+RUN_CONFIGS = st.builds(
+    RunConfig,
+    eps=mostly(st.floats(0.05, 1.0), 0.0, -0.1, 1e-300, 1e-160),
+    lam=st.floats(0.2, 2.0),
+    a=st.floats(-1.0, 1.0),
+    flux=st.sampled_from(["linear", "burgers"]),
+    n_cells=st.integers(2, 40),
+    cfl=mostly(st.floats(0.2, 1.0), 1e-320),
+    t_final=st.floats(1e-3, 0.01),
+    u_left=mostly(st.floats(-2.0, 2.0), 1e150, 1e200, math.inf),
+    u_right=st.floats(-2.0, 2.0),
+    well_prepared=st.booleans(),
+    scheme=st.sampled_from(["jpt", "semi-discrete"]),
+    record_every=st.integers(-1, 30),
+)
+
+
+class TestAnyConfig:
+    @seed(20261019)
+    @settings(max_examples=500, database=None, deadline=None)
+    @given(config=RUN_CONFIGS)
+    # the run, study, verify and run arguments whose step rule once raised
+    # ZeroDivisionError or OverflowError
+    @example(config=RunConfig(eps=1e-300, scheme="semi-discrete", n_cells=10, t_final=0.001))
+    @example(config=RunConfig(eps=1e-300, scheme="semi-discrete", n_cells=10**300, t_final=0.001,
+                              well_prepared=True))
+    @example(config=harness.residual_config(RunConfig(eps=1e-300)))
+    @example(config=RunConfig(eps=1e-160, scheme="semi-discrete", n_cells=10, t_final=0.001))
+    @example(config=RunConfig(cfl=1e-320, n_cells=10))
+    @example(config=RunConfig(eps=1e-300, n_cells=10**300, t_final=0.001, well_prepared=True))
+    def test_is_refused_or_ends_finite_or_unstable(self, config):
+        # validate() refuses it, or the run gives finite outputs, or it
+        # raises InstabilityError; nothing else, and never NaN as a success
+        try:
+            config.validate()
+        except ConfigError:
+            return
+        assume(harness._step_size(config).n_steps <= 2000)
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("ignore", BoundaryReachWarning)
+            try:
+                result = run_pair(config)
+            except schemes.InstabilityError:
+                return
+        outputs = [*(getattr(result.series, f.name) for f in fields(ErrorSeries)),
+                   result.hyp.u, result.hyp.v, result.lim.ubar, result.lim.vbar]
+        if result.residual_integrals is not None:
+            outputs += [getattr(result.residual_integrals, f.name) for f in fields(result.residual_integrals)]
+        if result.mass is not None:
+            outputs.append(result.mass.defect)
+        assert all(np.isfinite(x).all() for x in outputs)
 
 
 class TestStudyCells:
@@ -447,6 +508,17 @@ class TestRunGroup:
         assert result.series.l2err_sq.tolist() == l2_rec + [l2]
         assert result.series.weighted_sq.tolist() == weighted_rec + [weighted]
         assert result.mass.boundary_inflow == inflow
+
+    @pytest.mark.parametrize("scheme", ["jpt", "semi-discrete"])
+    def test_the_weighted_error_is_the_running_sum_of_dt_phi(self, scheme):
+        # phi and the weighted error increment come from one quadratic form,
+        # so with every step recorded the one is the left-endpoint sum of
+        # the other, to the last bit (dx = 1/200 is not a power of two)
+        result = run_pair(RunConfig(eps=0.1, scheme=scheme, record_every=1), accumulate=())
+        series, dt = result.series, result.step.dt
+        assert len(series.phi) == result.step.n_steps + 1 == 2184
+        running = np.add.accumulate(np.concatenate(([0.0], dt * series.phi[:-1])))
+        assert np.array_equal(series.weighted_sq, running)
 
     def test_chunked_residuals_and_phi_match_a_step_by_step_evaluation(self):
         # every step is a record point, and the two eps share each chunk;
