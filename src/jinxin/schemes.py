@@ -303,8 +303,8 @@ class PairMarch:
     splitting scheme is
 
         convect()     explicit half: HLL convection of every (u, v) and, in
-                      the same span, of (ubar, vbar): the limit update is
-                      the HLL convection of the ubar row, vbar in its flux
+                      the same span, of the ubar row with vbar in its flux,
+                      which is the limit update
         relax()       implicit half: one centered gradient of the u half
                       gives the relaxation targets of v and the closure vbar
 
