@@ -116,7 +116,8 @@ class TestParsing:
          "eps=1e-310: the grid rule dx <= eps needs more cells than a float counts at eps=1e-310"),
     ])
     def test_a_step_rule_without_a_finite_step_count_is_refused(self, argv, reason, monkeypatch, capsys):
-        # dt underflows to 0, or t_final/dt overflows: refused at parse time
+        # dt underflows to 0, t_final/dt overflows, or the grid rule's cell
+        # count does: refused at parse time
         monkeypatch.setattr(harness, "run_group", None)  # any march would fail loudly
         with pytest.raises(SystemExit) as err:
             cli.main(argv.split())

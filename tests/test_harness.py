@@ -139,8 +139,10 @@ class TestAnyConfig:
     @seed(20261019)
     @settings(max_examples=500, database=None, deadline=None)
     @given(config=RUN_CONFIGS)
-    # the run, study, verify and run arguments whose step rule once raised
-    # ZeroDivisionError or OverflowError
+    # the configs of the command lines whose step rule once raised
+    # ZeroDivisionError or OverflowError: the semi-discrete run and study
+    # point at eps 1e-300, the residual check's run, the run at eps 1e-160,
+    # the run at cfl 1e-320 and the splitting study point at eps 1e-300
     @example(config=RunConfig(eps=1e-300, scheme="semi-discrete", n_cells=10, t_final=0.001))
     @example(config=RunConfig(eps=1e-300, scheme="semi-discrete", n_cells=10**300, t_final=0.001,
                               well_prepared=True))
