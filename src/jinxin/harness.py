@@ -4,12 +4,12 @@ A run always advances the relaxed and the limiting solution side by side on
 the same grid and step ladder, accumulating the space-time error norms and
 (for the semi-discrete scheme with the linear flux) the entropy budgets.
 ``run_group`` is the one march loop: it advances one relaxed pair per eps
-beside a single limit pair, for eps that share the grid and the step, and
-reduces every per-step diagnostic (error sums, phi, residual integrals)
-once per chunk of steps.  ``run_pair`` is its one-eps case.  The
-convergence study runs an eps sweep with a grid refined so that dx <= eps,
-one group per grid and step, then fits the log-log rate of the
-relaxation-scaled squared error.
+beside a single limit pair, for eps that share the grid and the step,
+copies the block once per step, and forms every diagnostic (error sums,
+phi, K norms, residual integrals) from the copies once per chunk of steps.
+``run_pair`` is its one-eps case.  The convergence study runs an eps sweep
+with a grid refined so that dx <= eps, one group per grid and step, then
+fits the log-log rate of the relaxation-scaled squared error.
 """
 
 from __future__ import annotations
@@ -32,6 +32,12 @@ SCHEMES = (JPT, SEMI_DISCRETE)
 
 # Default experiment: Riemann 2 -> 1 on [0, 1], T = 0.1.
 DEFAULT_EPS_SWEEP = (1e-1, 5e-2, 2.5e-2, 1.25e-2, 6.25e-3, 3.125e-3, 1.5e-3)
+
+# The largest march of the lab, the 667-cell Burgers point of a default
+# study (either scheme), takes 667 cells x 421,474 steps = 2.81e8
+# cell-steps.  A config above this cap, such as a sweep point at eps 1e-10
+# (1e10 cells, 5.5e18 steps), is refused before its block is allocated.
+MAX_CELL_STEPS = 10**9
 
 
 class ConfigError(ValueError):
@@ -80,9 +86,13 @@ class RunConfig:
         # and a step that yields no finite step count
         try:
             p = self.params()
-            _step_size(self)
+            n_steps = _step_size(self).n_steps
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.n_cells * n_steps > MAX_CELL_STEPS:
+            raise ConfigError(
+                f"{self.n_cells} cells x {n_steps} steps exceed the cap of {MAX_CELL_STEPS:.0e} cell-steps per march"
+            )
         for name in ("u_left", "u_right"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -219,42 +229,53 @@ ACCUMULATORS = ("k-norms", "entropy", "residuals")
 
 
 class _RunningSums:
-    """Every per-step quantity of a group's march, reduced once per chunk of steps.
+    """Every diagnostic of a group's march, formed once per chunk of steps.
 
-    A step only writes raw fields into slot ``j`` of the chunk: the padded
-    differences of every relaxed pair from the limit pair (``diffs``), the
-    boundary jump v_1 - v_n of every row (``edges``), the squared K-norm
-    fields (``k_fields``) and, with ``residuals``, the padded vbar row
-    (``vbars``).  ``flush()`` reduces them along the cells, row by row, to
-    left-endpoint increments, which it adds with ``np.add.accumulate``: the
-    same float sequence as one step at a time.  The cell sums of du^2, dv^2
-    and du dv of every slot go through the quadratic form of
-    ``diagnostics.weighted_error_total`` once per chunk: its phi is what the
-    records read, and dt phi is what the weighted error gains per step.
-    ``totals`` holds the sums so far: the squared L2 error and the weighted
-    error of each row, the boundary inflow of each row, the two K norms,
-    then the eight residual integrals of each row.  A record point's totals
-    and phi are copied out when the chunk holding its step is flushed.
+    A step copies the march's block, shaped (2, k+1, n+2), into slot ``j``
+    of ``blocks``.  ``flush()`` forms everything else from those copies, for
+    the whole chunk at once: the boundary jump v_1 - v_n of every relaxed
+    row, D_xx of the vbar rows (``diagnostics._dxx``), with ``k_norms``
+    dvbar/dt, and the padded differences of every relaxed pair from the
+    limit pair, which overwrite the relaxed rows.  dvbar/dt replays the ops
+    of ``schemes._pair_rate_ops`` and ``schemes._closure_rate_ops``, built
+    once here on ``limits``, a contiguous (2, chunk, n+2) copy of the
+    chunk's limit pairs.  Each field is reduced along its contiguous cells,
+    row by row, to left-endpoint increments, which it adds with
+    ``np.add.accumulate``: the same float sequence as one step at a time.
+    The cell sums of du^2, dv^2 and du dv of every slot go through the
+    quadratic form ``diagnostics._weighted_form`` once per chunk: its phi is
+    what the records read, and dt phi is what the weighted error gains per
+    step.  ``totals`` holds the sums so far: the squared L2 error and the
+    weighted error of each row, the boundary inflow of each row, the two K
+    norms, then the eight residual integrals of each row; a column not
+    asked for stays 0.  A record point's totals and phi are copied out when
+    the chunk holding its step is flushed.
     """
 
-    FIELD_BYTES = 1 << 19  # the per-step fields of one chunk, at most 256 steps
+    FIELD_BYTES = 1 << 19  # the stored blocks and the flush's fields of one chunk, at most 256 steps
 
     def __init__(
         self, params: list[ModelParams], grid: Grid, dt: float, k_norms: bool, residuals: bool
     ) -> None:
-        k, n = len(params), grid.n_cells
-        self.params, self.grid, self.residuals = params, grid, residuals
-        self.k, self.dt, self.dtdx = k, dt, dt * grid.dx
+        k, n, dx, p = len(params), grid.n_cells, grid.dx, params[0]
+        self.params, self.grid, self.k_norms, self.residuals = params, grid, k_norms, residuals
+        self.k, self.dt, self.dtdx = k, dt, dt * dx
         self.eps = np.array([q.eps for q in params])
-        # cell rows per step: the differences and their products, the K
-        # fields, and the vbar row with the flush's residual integrands
-        rows = 3 * k + 2 * k_norms + 11 * residuals
+        # cell rows per step: the stored block and the cross products, the
+        # two K fields, and the residual integrands
+        rows = 3 * k + 2 + 2 * k_norms + 11 * residuals
         self.chunk = c = max(1, min(256, self.FIELD_BYTES // (8 * (n + 2) * rows)))
-        self.diffs = np.empty((c, k, 2, n + 2))
-        self.vbars = np.empty((c, n + 2) if residuals else (c, 0))
-        # without K norms the fields are empty, and their cell sums read 0
-        self.k_fields = np.empty((c, 2, n) if k_norms else (c, 2, 0))
-        self.edges = np.zeros((c, k))
+        # zeros, not garbage, in the slots that no step writes
+        self.blocks = schemes._zeros((c, 2, k + 1, n + 2))
+        if k_norms:
+            self.limits = schemes._zeros((2, c, n + 2))
+            rates, self.dvbar_dt = schemes._zeros((2, c, n + 2))
+            self.rate_ops = (
+                *schemes._pair_rate_ops(p, dx, self.limits, (), rates),
+                *schemes._closure_rate_ops(
+                    p, dx, self.limits[0].reshape(-1)[1:-1], rates, self.dvbar_dt.reshape(-1)[1:-1]
+                ),
+            )
         self.res0 = 3 * k + 2  # the first residual column
         self.acc = np.zeros((c + 1, self.res0 + 8 * k * residuals))
         self.start = 0  # the step of slot 0
@@ -272,31 +293,38 @@ class _RunningSums:
 
         A record reaches at most slot ``j``, which it reads but does not add.
         """
-        k, acc, diffs, dx = self.k, self.acc, self.diffs[:j], self.grid.dx
+        k, acc, dx = self.k, self.acc, self.grid.dx
         reached = [step - self.start for step in self.pending if step <= self.start + j]
         inc = acc[1 : j + 1]
+        # every slot that holds a state: the j steps, and slot j when a record reaches it
+        blocks = self.blocks[: j + (j in reached)]
+        relaxed, limit = blocks[:, :, :k], blocks[:, :, k:]
+        # boundary HLL fluxes collapse to the edge v under copy ghosts
+        inc[:, 2 * k : 3 * k] = self.dt * (relaxed[:j, 1, :, 1] - relaxed[:j, 1, :, -2])
+        if self.k_norms or self.residuals:
+            dxx_vbar = diagnostics._dxx(dx, limit[:j, 1, 0])
+        if self.k_norms:
+            np.copyto(self.limits[:, :j], limit[:j, :, 0].transpose(1, 0, 2))
+            schemes._run(self.rate_ops)
+            for col, cells in enumerate((self.dvbar_dt[:j, 1:-1], dxx_vbar), start=3 * k):
+                inc[:, col] = self.dtdx * np.add.reduce(cells * cells, axis=-1)
+        diffs = np.subtract(relaxed, limit, out=relaxed)
         if self.residuals:
-            dxx_vbar = diagnostics._dxx(dx, self.vbars[:j])
             for i, q in enumerate(self.params):
-                integrands = diagnostics._residual_integrands(q, dx, diffs[:, i, 0], diffs[:, i, 1], dxx_vbar)
+                integrands = diagnostics._residual_integrands(q, dx, diffs[:j, 0, i], diffs[:j, 1, i], dxx_vbar)
                 for col, cells in enumerate(integrands, start=self.res0 + 8 * i):
                     inc[:, col] = self.dtdx * np.add.reduce(cells, axis=-1)
-        # the cell sums of every slot that holds a state: the j steps, and
-        # slot j when a record reaches it; the cross sums (none for Burgers),
-        # then the squares in place
-        cells = self.diffs[: j + (j in reached), ..., 1:-1]
+        # the cross sums (none for Burgers), then the squares in place
+        cells = diffs[..., 1:-1]
         linear = self.params[0].flux == model.LINEAR
-        cross = np.add.reduce(cells[:, :, 0] * cells[:, :, 1], axis=-1) if linear else 0.0
-        du2, dv2 = np.moveaxis(np.add.reduce(np.multiply(cells, cells, out=cells), axis=-1), -1, 0)
+        cross = np.add.reduce(cells[:, 0] * cells[:, 1], axis=-1) if linear else 0.0
+        du2, dv2 = np.moveaxis(np.add.reduce(np.multiply(cells, cells, out=cells), axis=-1), 1, 0)
         phi = diagnostics._weighted_form(self.params[0], self.eps, dx, du2, dv2, cross)
         if reached:
             self.phi.append(phi[reached])
         inc[:, :k] = self.dtdx * (du2 + dv2)[:j]
         # left-endpoint rule: the weighted error gains dt phi per step
         inc[:, k : 2 * k] = self.dt * phi[:j]
-        # boundary HLL fluxes collapse to the edge v under copy ghosts
-        inc[:, 2 * k : 3 * k] = self.dt * self.edges[:j]
-        inc[:, 3 * k : self.res0] = self.dtdx * np.add.reduce(self.k_fields[:j], axis=-1)
         np.add.accumulate(acc[: j + 1], axis=0, out=acc[: j + 1])
         if self.residuals:
             self.steps.append(acc[1 : j + 1, self.res0 :].copy())
@@ -332,9 +360,10 @@ def run_group(
     record points behind ``identity_rel_max`` ("entropy") and the residual
     integrals ("residuals").  K norms not asked for read NaN in the series,
     the other two None in the result.  Profiles and the series file are
-    written for a single eps only.  A step only writes raw fields into the
-    chunk of ``_RunningSums``, which reduces them; the entropy budgets alone,
-    which need the states, are evaluated at the record points.
+    written for a single eps only.  A step only copies the march's block into
+    the chunk of ``_RunningSums``, whose flush forms every diagnostic from the
+    copies; the entropy budgets alone, which need the states, are evaluated
+    at the record points.
 
     Returns, per eps, its ``RunResult`` or the ``InstabilityError`` that
     ended its row when its cells or its sums stopped being finite; the other
@@ -380,9 +409,7 @@ def run_group(
         raise ValueError("the eps of one march must share one step size")
     (step,) = steps
     dt, n_steps = step.dt, step.n_steps
-    march = schemes.PairMarch(
-        p, grid, dt, u0, v0, ub0, vb0, curvature=k_norms, epsilons=[q.eps for q in params]
-    )
+    march = schemes.PairMarch(p, grid, dt, u0, v0, ub0, vb0, epsilons=[q.eps for q in params])
     n_rows = len(configs)
     rows = range(n_rows)
     identity_rel_max = [0.0 if entropy else None for _ in rows]
@@ -392,6 +419,7 @@ def run_group(
         out_dir.mkdir(parents=True, exist_ok=True)
 
     sums = _RunningSums(params, grid, dt, k_norms, residuals)
+    slots = list(sums.blocks)
     t_rec: list[float] = []
     mass0 = grid.dx * float(u0.sum())
     dx = grid.dx
@@ -404,15 +432,6 @@ def run_group(
                     "non-finite cell values: unstable step size or blow-up"
                 )
         return not all(failed)
-
-    relaxed, limit = march.pairs[:n_rows], march.pairs[-1]
-    diff_slots, vbar_slots = list(sums.diffs), list(sums.vbars)
-
-    def fill(j: int) -> None:
-        """Write the differences (and vbar) of the current state into slot ``j``."""
-        np.subtract(relaxed, limit, diff_slots[j])
-        if residuals:
-            np.copyto(vbar_slots[j], limit[1])
 
     def record(k: int, t_k: float, dump_tag: str) -> None:
         t_rec.append(t_k)
@@ -427,26 +446,18 @@ def run_group(
                 rel = diagnostics.entropy_budget(params[i], grid, *states).rel_mismatch_max
                 identity_rel_max[i] = max(identity_rel_max[i], rel)
 
-    v_first, v_last = march.relaxed[:, 1, 0], march.relaxed[:, 1, -1]
     record_every, chunk = config.record_every, sums.chunk
-    edge_slots, k_slots = list(sums.edges), list(sums.k_fields)
     j = 0  # the slot of step k in the chunk
     for k in range(n_steps):
-        fill(j)
+        np.copyto(slots[j], march.block)
         if k == 0 or (record_every > 0 and k % record_every == 0):
             if not check_cells():
                 return failed
             record(k, k * dt, "initial" if k == 0 else f"{k:08d}")
 
-        if k_norms:
-            march.limit_rate()
-            k_fields = march.closure_rates()  # dvbar/dt and D_xx vbar
-            np.multiply(k_fields, k_fields, k_slots[j])
-
         if semi:
             march.rk4_step()
         else:
-            np.subtract(v_first, v_last, edge_slots[j])
             march.convect()
             march.relax()
         j += 1
@@ -468,7 +479,7 @@ def run_group(
             failed[i] = schemes.InstabilityError("non-finite residual integrals: the residual terms overflow")
 
     # after the flush, the final state takes slot 0
-    fill(0)
+    np.copyto(slots[0], march.block)
     record(n_steps, p.t_final, "final")
     sums.flush(0)
     recorded, phi = np.concatenate(sums.recorded), np.concatenate(sums.phi)

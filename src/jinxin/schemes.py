@@ -219,18 +219,20 @@ def _closure_rate_ops(p: ModelParams, dx: float, ubar, rate_padded: np.ndarray, 
 
     The closure differentiated through dubar/dt (chain rule, no time
     differencing), which keeps the discrete entropy identity exact.
-    ``rate_padded`` is dubar/dt with a ghost per side; the ops refresh its
-    ghosts first.
+    ``rate_padded`` is dubar/dt with a ghost per side, one row or a block of
+    rows; the ops refresh its ghosts first, then work on the flat span
+    ``rate_padded[1:-1]`` of the flattened rows, where ``ubar`` and ``out``
+    line up.
     """
     # for Burgers f'(ubar) is the ubar array itself, not a copy, so the
-    # factor follows ubar when the caller marches it in place
+    # factor follows ubar when the caller overwrites it in place
     speed = flux_derivative(p.flux, p.a, ubar)
-    diffusive = _zeros(len(ubar))
+    rate, diffusive = rate_padded.reshape(-1), _zeros(len(ubar))
     return (
         *_ghost_ops(rate_padded),
-        (np.subtract, (rate_padded[2:], rate_padded[:-2], diffusive)),
+        (np.subtract, (rate[2:], rate[:-2], diffusive)),
         (np.multiply, (p.lam**2 / (2.0 * dx), diffusive, diffusive)),
-        (np.multiply, (speed, rate_padded[1:-1], out)),
+        (np.multiply, (speed, rate[1:-1], out)),
         (np.subtract, (out, diffusive, out)),
     )
 
@@ -241,8 +243,8 @@ def _pair_rate_ops(
     """Method-of-lines rates of the ghost-padded pairs of ``block``, into the cells of ``out``.
 
     ``block`` has shape (2, m, n+2), the u half and the v half: its first
-    pairs are the relaxed ones, one per entry of ``epsilons``, and a last
-    pair beyond them is the limit pair (ubar, vbar).  Terms are formed and
+    pairs are the relaxed ones, one per entry of ``epsilons``, and each pair
+    beyond them is a limit pair (ubar, vbar).  Terms are formed and
     summed as written, each constant folded into one coefficient:
         du/dt = (-1/(2dx)) (v_{i+1} - v_{i-1}) + (lam/(2dx)) ((u_{i+1} - 2u_i) + u_{i-1})
         dv/dt = (-lam^2/(2dx eps^2)) (u_{i+1} - u_{i-1})
@@ -310,20 +312,17 @@ class PairMarch:
 
     and one step of the semi-discrete scheme is ``rk4_step()``: classical
     RK4 of all method-of-lines pairs, vbar re-closed after every stage.
-    ``limit_rate()`` returns dubar/dt of the current limit pair, in the op
-    order of the RK4 rates, for the K norms; no step needs it.  Each of
-    them replays an op sequence built here.  Neither stepper allocates nor
-    checks finiteness: that is ``finite_pairs()``, for the caller to run
-    where it reads the cells.  With ``curvature`` the march also serves
-    ``closure_rates()``, the fields behind the K norms.
+    Each of them replays an op sequence built here.  Neither stepper
+    allocates nor checks finiteness: that is ``finite_pairs()``, for the
+    caller to run where it reads the cells.
     """
 
     def __init__(
         self, p: ModelParams, grid: Grid, dt: float,
         u: np.ndarray, v: np.ndarray, ubar: np.ndarray, vbar: np.ndarray,
-        curvature: bool = False, epsilons: tuple[float, ...] | None = None,
+        epsilons: tuple[float, ...] | None = None,
     ) -> None:
-        n, width, dx = grid.n_cells, grid.n_cells + 2, grid.dx
+        width, dx = grid.n_cells + 2, grid.dx
         epsilons = (p.eps,) if epsilons is None else tuple(epsilons)
         k = len(epsilons)
         self.block = block = _padded(*[(u, v)] * k, (ubar, vbar))
@@ -356,21 +355,6 @@ class PairMarch:
             *refresh,
         )
 
-        # dubar/dt by the RK4 rates' ops, on a contiguous copy of the limit pair
-        limit_pair, rate_padded = _zeros((2, 1, width)), _zeros(width)
-        self._rate = rate_padded[1:-1]
-        self._rate_ops = (
-            (np.copyto, (limit_pair, block[:, k : k + 1])),
-            *_pair_rate_ops(p, dx, limit_pair, (), out=rate_padded),
-        )
-        if curvature:
-            self._k_fields = k_fields = _zeros((2, n))
-            self._closure_rate_ops = (
-                *_closure_rate_ops(p, dx, self.ubar, rate_padded, k_fields[0]),
-                *_second_difference_ops(block[1, k], k_fields[1]),
-                (np.divide, (k_fields[1], dx * dx, k_fields[1])),
-            )
-
         # RK4 on the span of every row but vbar; the stage re-closes vbar
         span = half + relaxed_end
         stage = _zeros(block.shape)
@@ -400,11 +384,6 @@ class PairMarch:
             *close(block),
         )
 
-    def limit_rate(self) -> np.ndarray:
-        """dubar/dt of the current limit pair, by the ops of the RK4 rates, for the K norms."""
-        _run(self._rate_ops)
-        return self._rate
-
     def convect(self) -> None:
         """Explicit half step: HLL convection of every pair, ubar with vbar in its flux."""
         _run(self._convect_ops)
@@ -424,14 +403,6 @@ class PairMarch:
         """Per relaxed pair, whether its cells and those of the limit pair are all finite."""
         *pairs, limit = np.isfinite(self.block).all(axis=(0, 2)).tolist()
         return [pair and limit for pair in pairs]
-
-    def closure_rates(self) -> np.ndarray:
-        """Rows dvbar/dt and D_xx vbar of the current limit pair, after limit_rate().
-
-        Needs ``curvature``.  Both rows are scratch, overwritten by the next call.
-        """
-        _run(self._closure_rate_ops)
-        return self._k_fields
 
     def states(self, t: float, row: int = 0) -> tuple[HyperbolicState, LimitState]:
         """Copies of relaxed pair ``row`` and of the limit pair, stamped with time t."""

@@ -126,6 +126,19 @@ class TestParsing:
             f"jinxin: error: {reason}"
         ]
 
+    @pytest.mark.parametrize("argv, reason", [
+        ("study --eps-list 1e-1,1e-10",
+         "eps=1e-10: 10000000000 cells x 5456842105263157248 steps exceed the cap of 1e+09 cell-steps per march"),
+        ("run --n-cells 100000",
+         "100000 cells x 545684211 steps exceed the cap of 1e+09 cell-steps per march"),
+    ])
+    def test_an_oversized_march_is_refused(self, argv, reason, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "run_group", None)  # any march would fail loudly
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv.split())
+        assert err.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"jinxin: error: {reason}"
+
     def test_theorem_check_ignores_the_config_eps(self, capsys):
         # the theorem check marches its own eps sweep
         assert cli.main(["verify", "--check", "theorem", "--eps", "0", "--nx", "20"]) == 0

@@ -557,6 +557,32 @@ class TestRunGroup:
                 assert np.array_equal(getattr(integrals, f.name), expected), (eps, f.name)
 
     @pytest.mark.parametrize("scheme", ["jpt", "semi-discrete"])
+    @pytest.mark.parametrize("flux, lam, t_final", [("linear", 0.72, 0.15), ("burgers", 3.0, 0.02)])
+    def test_k_norms_match_a_step_by_step_sum_of_the_limit_rhs(self, flux, lam, t_final, scheme):
+        # the flush forms dvbar/dt by the ops of the RK4 rates on the chunk's
+        # limit pairs: bit for bit the public right-hand side of each state
+        cfg = RunConfig(eps=0.1, lam=lam, flux=flux, n_cells=64, t_final=t_final, scheme=scheme, record_every=1)
+        result = run_pair(cfg, accumulate=("k-norms",))
+        p, grid, step = cfg.params(), cfg.grid(), result.step
+        dt, dx = step.dt, grid.dx
+        march = schemes.PairMarch(p, grid, dt, *model.riemann_initial(p, grid, 2.0, 1.0))
+        dvbar_sq = dxxvbar_sq = 0.0
+        dvbar_rec, dxxvbar_rec = [], []
+        for k in range(step.n_steps + 1):
+            dvbar_rec.append(dvbar_sq)
+            dxxvbar_rec.append(dxxvbar_sq)
+            _, lim = march.states(k * dt)
+            _, dvbar_dt = schemes.limit_semi_discrete_rhs(p, grid, lim)
+            vbar = model.pad_edges(lim.vbar)
+            dxx_vbar = (vbar[2:] - 2.0 * vbar[1:-1] + vbar[:-2]) / dx**2
+            dvbar_sq += dt * dx * float((dvbar_dt * dvbar_dt).sum())
+            dxxvbar_sq += dt * dx * float((dxx_vbar * dxx_vbar).sum())
+            split_steps(march) if scheme == "jpt" else march.rk4_step()
+        assert step.n_steps > 256  # more than one chunk of the running sums
+        assert result.series.k_dvbar_sq.tolist() == dvbar_rec
+        assert result.series.k_dxxvbar_sq.tolist() == dxxvbar_rec
+
+    @pytest.mark.parametrize("scheme", ["jpt", "semi-discrete"])
     def test_a_failed_row_stays_in_its_row(self, scheme, monkeypatch):
         cfg = RunConfig(n_cells=64, t_final=0.02, well_prepared=True, scheme=scheme)
         epsilons = (0.1, 0.07, 0.05)
