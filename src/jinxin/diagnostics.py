@@ -98,7 +98,7 @@ def residuals(p: ModelParams, grid: Grid, hyp: HyperbolicState, lim: LimitState)
 
     R1: lam^3/2 dx du D_xx(du)           (u-viscosity against du)
     R2: eps^2 lam/2 dx dv D_xx(dv)       (v-viscosity against dv)
-    R3: eps^2 lam/2 dx (dv - a du) D_xx(vbar)   (limit-curvature forcing)
+    R3: eps^2 lam/2 dx (dv - a du) D_xx(vbar)   (forcing by D_xx of the limit v)
     R4: -eps^2 a lam/2 dx [dv D_xx(du) + du D_xx(dv)]  (cross coupling)
     """
     du = pad_edges(hyp.u - lim.ubar)
