@@ -116,7 +116,7 @@ def parse_args(argv) -> Command:
         elif ns.command == "verify":
             # the residual estimates are checked in the relaxation regime
             values.setdefault("eps", 0.1)
-        config = harness.make_config(None, **values)
+        config = harness.make_config(**values)
     except (ConfigError, OSError) as exc:
         parser.error(str(exc))
     if ns.command == "verify" and ns.check in ("residuals", "all"):

@@ -294,15 +294,17 @@ def residual_sign_checks(acc: ResidualIntegrals, p: ModelParams, theta: float = 
 class ErrorSeries:
     """Per-run record: phi(t), cumulative error norms, and the K-norms.
 
-    ``l2err_sq`` is the plain squared space-time error of (u, v) against
+    The columns hold the record points, ``sup_phi`` the max of phi over every
+    step.  ``l2err_sq`` is the plain squared space-time error of (u, v) against
     (ubar, vbar); ``weighted_sq`` is the relaxation-scaled (entropy) version
-    whose decay rate the convergence study certifies.  The two K-norm
-    columns track ||d/dt vbar||^2 and ||D_xx vbar||^2 over [0, t].
+    whose decay rate the convergence study certifies.  The two K-norm columns
+    track ||d/dt vbar||^2 and ||D_xx vbar||^2 over [0, t], or read NaN.
     """
 
     dx: float
     t: np.ndarray
     phi: np.ndarray
+    sup_phi: float
     l2err_sq: np.ndarray
     weighted_sq: np.ndarray
     k_dvbar_sq: np.ndarray
@@ -329,14 +331,14 @@ def theorem_bound_check(series: ErrorSeries, p: ModelParams) -> TheoremCheck:
 
     B_meas = ||d/dt vbar||^2_{L2(Q_T)} + (lam^2 dx^2 / 4) ||D_xx vbar||^2_{L2(Q_T)},
     the explicit constant the proof yields with both Young parameters at 1/2.
+    sup phi is ``series.sup_phi``, over every step; non-finite K norms raise ``ValueError``.
     """
-    if series.k_dvbar_sq.size == 0:
-        raise ValueError("series carries no K-norm data")
+    dvbar_sq, dxxvbar_sq = float(series.k_dvbar_sq[-1]), float(series.k_dxxvbar_sq[-1])
+    if not np.isfinite((dvbar_sq, dxxvbar_sq)).all():
+        raise ValueError("series carries no finite K norms: march it with the 'k-norms' accumulator")
     phi0 = float(series.phi[0])
-    sup_phi = float(series.phi.max())
-    b_meas = float(series.k_dvbar_sq[-1]) + 0.25 * p.lam**2 * series.dx**2 * float(
-        series.k_dxxvbar_sq[-1]
-    )
+    sup_phi = series.sup_phi
+    b_meas = dvbar_sq + 0.25 * p.lam**2 * series.dx**2 * dxxvbar_sq
     bound = phi0 + b_meas * p.eps**4
     satisfied = sup_phi <= bound * (1.0 + BOUND_RTOL)
     return TheoremCheck(

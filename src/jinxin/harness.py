@@ -154,13 +154,9 @@ def load_config_file(path: str | Path) -> dict[str, object]:
     return overrides
 
 
-def make_config(file_path: str | Path | None = None, **overrides) -> RunConfig:
-    """Defaults <- config file <- keyword overrides, then validate."""
-    merged: dict[str, object] = {}
-    if file_path is not None:
-        merged.update(load_config_file(file_path))
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    config = RunConfig(**merged)
+def make_config(**overrides) -> RunConfig:
+    """Defaults <- keyword overrides (None keeps the default), then validate."""
+    config = RunConfig(**{k: v for k, v in overrides.items() if v is not None})
     config.validate()
     return config
 
@@ -225,7 +221,7 @@ def write_series(path: str | Path, series: ErrorSeries) -> None:
     )
 
 
-ACCUMULATORS = ("k-norms", "entropy", "residuals")
+ACCUMULATORS = ("k-norms", "residuals")
 
 
 class _RunningSums:
@@ -244,12 +240,12 @@ class _RunningSums:
     ``np.add.accumulate``: the same float sequence as one step at a time.
     The cell sums of du^2, dv^2 and du dv of every slot go through the
     quadratic form ``diagnostics._weighted_form`` once per chunk: its phi is
-    what the records read, and dt phi is what the weighted error gains per
-    step.  ``totals`` holds the sums so far: the squared L2 error and the
-    weighted error of each row, the boundary inflow of each row, the two K
-    norms, then the eight residual integrals of each row; a column not
-    asked for stays 0.  A record point's totals and phi are copied out when
-    the chunk holding its step is flushed.
+    what the records read, ``sup_phi`` keeps each row's max of it over every
+    slot, and dt phi is what the weighted error gains per step.  ``totals``
+    holds the sums so far: the squared L2 error and the weighted error of
+    each row, the boundary inflow of each row, the two K norms, then the
+    eight residual integrals of each row; a column not asked for stays 0.
+    A record point's totals and phi are copied out when its chunk is flushed.
     """
 
     FIELD_BYTES = 1 << 19  # the stored blocks and the flush's fields of one chunk, at most 256 steps
@@ -282,6 +278,7 @@ class _RunningSums:
         self.pending: list[int] = []  # recorded steps not yet copied out
         self.recorded: list[np.ndarray] = []
         self.phi: list[np.ndarray] = []  # per recorded step, phi of each row
+        self.sup_phi = np.full(k, -np.inf)  # per row, over the steps flushed
         self.steps: list[np.ndarray] = []  # per step, the running residual integrals
 
     @property
@@ -320,6 +317,7 @@ class _RunningSums:
         cross = np.add.reduce(cells[:, 0] * cells[:, 1], axis=-1) if linear else 0.0
         du2, dv2 = np.moveaxis(np.add.reduce(np.multiply(cells, cells, out=cells), axis=-1), 1, 0)
         phi = diagnostics._weighted_form(self.params[0], self.eps, dx, du2, dv2, cross)
+        np.maximum(self.sup_phi, phi.max(axis=0, initial=-np.inf), out=self.sup_phi)
         if reached:
             self.phi.append(phi[reached])
         inc[:, :k] = self.dtdx * (du2 + dv2)[:j]
@@ -353,13 +351,13 @@ def run_group(
     integrals use left-endpoint quadrature, the same rule that defines the
     discrete L2(Q_t) norm.
 
-    Every run accumulates the error sums and phi at the record points, and
-    the splitting scheme the mass audit.  ``accumulate`` names the costly
-    extras, all by default: the K norms ("k-norms"), and for the
+    Every run accumulates the error sums, phi at the record points and its
+    max over every step, the splitting scheme the mass audit, and the
     semi-discrete scheme with the linear flux the entropy budgets at the
-    record points behind ``identity_rel_max`` ("entropy") and the residual
-    integrals ("residuals").  K norms not asked for read NaN in the series,
-    the other two None in the result.  Profiles and the series file are
+    record points behind ``identity_rel_max``.  ``accumulate`` names the
+    costly extras, both by default: the K norms ("k-norms", NaN when not
+    asked for) and, for the linear semi-discrete runs, the residual integrals
+    ("residuals", None when not asked for).  Profiles and the series file are
     written for a single eps only.  A step only copies the march's block into
     the chunk of ``_RunningSums``, whose flush forms every diagnostic from the
     copies; the entropy budgets alone, which need the states, are evaluated
@@ -402,7 +400,6 @@ def run_group(
     semi = config.scheme == SEMI_DISCRETE
     linear_semi = semi and p.flux == model.LINEAR
     k_norms = "k-norms" in accumulate
-    entropy = "entropy" in accumulate and linear_semi
     residuals = "residuals" in accumulate and linear_semi
     steps = {_step_size(run_cfg) for run_cfg in configs}
     if len(steps) != 1:
@@ -412,7 +409,7 @@ def run_group(
     march = schemes.PairMarch(p, grid, dt, u0, v0, ub0, vb0, epsilons=[q.eps for q in params])
     n_rows = len(configs)
     rows = range(n_rows)
-    identity_rel_max = [0.0 if entropy else None for _ in rows]
+    identity_rel_max = [0.0 if linear_semi else None for _ in rows]
     failed: list[schemes.InstabilityError | None] = [None for _ in rows]
 
     if out_dir is not None:
@@ -439,10 +436,10 @@ def run_group(
         for i in rows:
             if failed[i] is not None:
                 continue
-            states = march.states(t_k, i) if out_dir is not None or entropy else None
+            states = march.states(t_k, i) if out_dir is not None or linear_semi else None
             if out_dir is not None:
                 write_profile(out_dir / f"profile_{dump_tag}.csv", grid, *states)
-            if entropy:
+            if linear_semi:
                 rel = diagnostics.entropy_budget(params[i], grid, *states).rel_mismatch_max
                 identity_rel_max[i] = max(identity_rel_max[i], rel)
 
@@ -495,6 +492,7 @@ def run_group(
             dx=dx,
             t=np.asarray(t_rec),
             phi=phi[:, i].copy(),
+            sup_phi=float(sums.sup_phi[i]),
             l2err_sq=recorded[:, i].copy(),
             weighted_sq=recorded[:, n_rows + i].copy(),
             k_dvbar_sq=k_series[:, 0].copy(),
@@ -746,14 +744,14 @@ def verify_identity(
 
 
 def residual_config(config: RunConfig) -> RunConfig:
-    """The semi-discrete run of ``config`` that the residual check marches."""
+    """The semi-discrete run of ``config`` that the residual check marches; linear flux only."""
+    if config.flux != model.LINEAR:
+        raise ConfigError(f"the residual integrals need the linear flux, not {config.flux!r}")
     return replace(config, scheme=SEMI_DISCRETE, record_every=0, out_dir=None)
 
 
 def verify_residuals(config: RunConfig) -> CheckOutcome:
     """Residual equalities and sign estimates along a semi-discrete run of ``config``."""
-    if config.flux != model.LINEAR:
-        raise ConfigError(f"the residual check needs the linear flux, not {config.flux!r}")
     run_cfg = residual_config(config)
     result = run_pair(run_cfg, accumulate=("residuals",))
     report = diagnostics.residual_sign_checks(result.residual_integrals, run_cfg.params())
@@ -765,9 +763,9 @@ def verify_theorem(config: RunConfig, eps_values=(0.1, 0.05, 0.025)) -> CheckOut
     """Stability bound on well-prepared semi-discrete runs of ``config`` at each eps.
 
     The eps that share the grid's step march as one group (``_march_sweep``);
-    the first failed run, in ``eps_values`` order, raises.
+    the first failed run, in ``eps_values`` order, raises.  sup phi covers every step.
     """
-    base = replace(config, scheme=SEMI_DISCRETE, well_prepared=True, record_every=1, out_dir=None)
+    base = replace(config, scheme=SEMI_DISCRETE, well_prepared=True, record_every=0, out_dir=None)
     results = _march_sweep([replace(base, eps=eps) for eps in eps_values], accumulate=("k-norms",))
     for result in results:
         if isinstance(result, Exception):

@@ -344,16 +344,20 @@ class TestExecution:
         assert captured.err.splitlines() == [message]
 
     @pytest.mark.parametrize("check", ["residuals", "all"])
-    def test_residual_check_refuses_a_nonlinear_flux(self, check, capsys):
-        # the residual integrals exist for the linear flux only
+    def test_residual_check_refuses_a_nonlinear_flux(self, check, monkeypatch, capsys):
+        # the residual integrals exist for the linear flux only: refused at parse time
+        for name in ("verify_identity", "run_group"):
+            monkeypatch.setattr(harness, name, None)  # any check would fail loudly
         argv = ["verify", "--check", check, "--flux", "burgers", "--lambda", "3",
                 "--nx", "20", "--tfinal", "0.001"]
-        assert cli.main(argv) == 1
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [
-            "error: the residual check needs the linear flux, not 'burgers'"
-        ]
+        assert captured.err.splitlines()[-1] == (
+            "jinxin: error: residual check: the residual integrals need the linear flux, not 'burgers'"
+        )
 
     def test_main_exit_status(self, tmp_path):
         assert cli.main(["run", "--eps", "0.5", "--nx", "32", "--tfinal", "0.01",

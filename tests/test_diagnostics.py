@@ -272,6 +272,7 @@ class TestTheoremCheck:
             dx=0.01,
             t=np.array([0.0, 0.1]),
             phi=np.array([0.0, 0.0]),
+            sup_phi=0.0,
             l2err_sq=np.array([0.0, 0.0]),
             weighted_sq=np.array([0.0, 0.0]),
             k_dvbar_sq=np.array([0.0, 0.0]),
@@ -286,6 +287,7 @@ class TestTheoremCheck:
             dx=0.1,
             t=np.array([0.0, 1.0]),
             phi=np.array([0.01, 0.02]),
+            sup_phi=0.02,
             l2err_sq=np.array([0.0, 1.0]),
             weighted_sq=np.array([0.0, 1.0]),
             k_dvbar_sq=np.array([0.0, 3.0]),
@@ -305,6 +307,7 @@ class TestTheoremCheck:
             dx=0.01,
             t=np.array([0.0, 0.1]),
             phi=np.array([0.0, 1.0]),
+            sup_phi=1.0,
             l2err_sq=np.array([0.0, 1.0]),
             weighted_sq=np.array([0.0, 1.0]),
             k_dvbar_sq=np.array([0.0, 1e-6]),
@@ -312,6 +315,26 @@ class TestTheoremCheck:
         )
         check = diagnostics.theorem_bound_check(series, base_params)
         assert not check.satisfied
+
+    def test_the_check_does_not_depend_on_the_record_points(self):
+        # sup phi comes from every step, not from the recorded ones
+        config = RunConfig(eps=0.05, n_cells=64, t_final=0.05, scheme="semi-discrete", well_prepared=True)
+        checks = [
+            diagnostics.theorem_bound_check(
+                harness.run_pair(replace(config, record_every=every), accumulate=("k-norms",)).series,
+                config.params(),
+            )
+            for every in (0, 1, 7)
+        ]
+        assert checks[0] == checks[1] == checks[2]
+        assert checks[0].sup_phi > 0.0
+
+    def test_a_series_without_k_norms_is_refused(self):
+        config = RunConfig(eps=0.1, n_cells=40, t_final=0.01, scheme="semi-discrete", well_prepared=True)
+        series = harness.run_pair(config, accumulate=()).series
+        assert np.isnan(series.k_dvbar_sq).all()
+        with pytest.raises(ValueError, match="no finite K norms"):
+            diagnostics.theorem_bound_check(series, config.params())
 
     def test_halving_eps_shrinks_sup_phi_proportionally(self):
         # smooth well-prepared front (bounded K-norms): phi(0) = 0, the

@@ -79,7 +79,7 @@ class TestConfig:
                 ]
             )
         )
-        cfg = make_config(path)
+        cfg = make_config(**load_config_file(path))
         assert cfg.eps == 0.25 and cfg.lam == 1.5 and cfg.a == 0.1
         assert cfg.n_cells == 64 and cfg.x_min == -1.0 and cfg.x_max == 3.0
         assert cfg.well_prepared is True
@@ -88,28 +88,28 @@ class TestConfig:
     def test_flag_overrides_beat_file_values(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("eps = 0.25\nlambda = 1.5\n")
-        cfg = make_config(path, eps=0.5)
+        cfg = make_config(**{**load_config_file(path), "eps": 0.5})
         assert cfg.eps == 0.5 and cfg.lam == 1.5
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("epsilon = 0.25\n")
         with pytest.raises(ConfigError, match="epsilon"):
-            make_config(path)
+            make_config(**load_config_file(path))
 
     def test_bad_value_names_the_key(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("n_cells = many\n")
         with pytest.raises(ConfigError, match="n_cells"):
-            make_config(path)
+            make_config(**load_config_file(path))
 
     def test_subcharacteristic_gate(self):
         with pytest.raises(ConfigError, match="subcharacteristic"):
-            make_config(None, eps=1.0, lam=0.3, a=0.5)
+            make_config(eps=1.0, lam=0.3, a=0.5)
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ConfigError, match="scheme"):
-            make_config(None, scheme="spectral")
+            make_config(scheme="spectral")
 
 
 def mostly(typical, *edges):
@@ -287,12 +287,14 @@ class TestRunPair:
     def test_unknown_accumulator_rejected(self):
         with pytest.raises(ValueError, match="unknown accumulators"):
             run_pair(RunConfig(n_cells=40, t_final=0.01), accumulate=("k-norms", "errors"))
+        with pytest.raises(ValueError, match="unknown accumulators"):
+            run_pair(RunConfig(n_cells=40, t_final=0.01), accumulate=("entropy",))
 
     @pytest.mark.parametrize("scheme", ["jpt", "semi-discrete"])
     def test_each_accumulator_is_opt_in(self, scheme):
         cfg = RunConfig(eps=0.5, n_cells=40, t_final=0.01, scheme=scheme, record_every=7)
         full = run_pair(cfg)
-        for asked in ((), ("k-norms",), ("entropy",), ("residuals",)):
+        for asked in ((), ("k-norms",), ("residuals",)):
             part = run_pair(cfg, accumulate=asked)
             for col in ("t", "phi", "l2err_sq", "weighted_sq"):
                 assert np.array_equal(getattr(part.series, col), getattr(full.series, col)), (asked, col)
@@ -302,10 +304,8 @@ class TestRunPair:
                     assert np.array_equal(got, expected), (asked, col)
                 else:
                     assert np.isnan(got).all(), (asked, col)
-            if asked == ("entropy",):
-                assert part.identity_rel_max == full.identity_rel_max
-            else:
-                assert part.identity_rel_max is None
+            # the identity defect is formed for every linear semi-discrete run
+            assert part.identity_rel_max == full.identity_rel_max
             if asked == ("residuals",) and scheme == "semi-discrete":
                 assert_same_integrals(part.residual_integrals, full.residual_integrals)
             else:
@@ -583,6 +583,29 @@ class TestRunGroup:
         assert result.series.k_dxxvbar_sq.tolist() == dxxvbar_rec
 
     @pytest.mark.parametrize("scheme", ["jpt", "semi-discrete"])
+    @pytest.mark.parametrize("flux, lam", [("linear", 0.72), ("burgers", 3.0)])
+    @pytest.mark.parametrize("n_cells, t_final, peak", [
+        (400, 1e-3, "after the first chunk"), (200, 1e-4, "on the final state"),
+    ])
+    def test_sup_phi_is_the_max_over_every_step(self, n_cells, t_final, peak, flux, lam, scheme):
+        # the flush keeps the max of phi at every step, whatever is recorded
+        cfg = RunConfig(lam=lam, flux=flux, n_cells=n_cells, t_final=t_final, scheme=scheme, well_prepared=True)
+        epsilons = (1.0, 0.7)
+        every_step = run_group(replace(cfg, record_every=1), epsilons, accumulate=())
+        step = every_step[0].step
+        chunk = harness._RunningSums([cfg.params()] * 2, cfg.grid(), step.dt, False, False).chunk
+        for i, full in enumerate(every_step):
+            phi = full.series.phi
+            assert full.series.sup_phi == phi.max()
+            if peak == "on the final state":
+                assert phi.argmax() == step.n_steps
+            else:
+                assert chunk < phi.argmax() < step.n_steps and phi.argmax() % 7 != 0
+            for every in (0, 7):
+                sparse = run_group(replace(cfg, record_every=every), epsilons, accumulate=())[i]
+                assert sparse.series.sup_phi == phi.max(), (every, i)
+
+    @pytest.mark.parametrize("scheme", ["jpt", "semi-discrete"])
     def test_a_failed_row_stays_in_its_row(self, scheme, monkeypatch):
         cfg = RunConfig(n_cells=64, t_final=0.02, well_prepared=True, scheme=scheme)
         epsilons = (0.1, 0.07, 0.05)
@@ -621,10 +644,10 @@ class TestRunGroup:
         assert seen == sizes
         assert [r.config.eps for r in marched] == list(epsilons)
         for eps, result in zip(epsilons, marched):
-            cfg = RunConfig(eps=eps, n_cells=n_cells, scheme="semi-discrete", well_prepared=True,
-                            record_every=1)
+            cfg = RunConfig(eps=eps, n_cells=n_cells, scheme="semi-discrete", well_prepared=True)
             lone = run_pair(cfg, accumulate=("k-norms",))
             assert result.config == cfg
+            assert result.series.sup_phi == lone.series.sup_phi
             for name in ("phi", "k_dvbar_sq", "k_dxxvbar_sq"):
                 assert getattr(result.series, name).tolist() == getattr(lone.series, name).tolist()
 
