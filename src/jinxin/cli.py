@@ -65,7 +65,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         help="start v on the discrete closure (true/false)",
     )
     parser.add_argument("--scheme", choices=harness.SCHEMES, default=None, help="time marching scheme")
-    parser.add_argument("--record-every", type=int, default=None, help="step stride for profile dumps")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,10 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="advance the paired solutions and dump profiles/series")
-    _add_config_flags(run_p)
-
     study_p = sub.add_parser("study", help="eps sweep with the grid rule and a log-log rate fit")
-    _add_config_flags(study_p)
+    # no verify check reads the stride, so verify has no such flag
+    for marching in (run_p, study_p):
+        _add_config_flags(marching)
+        marching.add_argument("--record-every", type=int, default=None, help="step stride for profile dumps")
     study_p.add_argument(
         "--eps-list", type=_parse_eps_list, default=None, metavar="E1,E2,...",
         help="comma-separated eps sweep (default: the standard sweep 1e-1 .. 1.5e-3)",
@@ -119,11 +119,18 @@ def parse_args(argv) -> Command:
         config = harness.make_config(**values)
     except (ConfigError, OSError) as exc:
         parser.error(str(exc))
-    if ns.command == "verify" and ns.check in ("residuals", "all"):
+    if ns.command == "verify":
+        # both marching checks need the linear flux; the residual run also a valid eps
         try:
-            harness.residual_config(config).validate()
+            if ns.check in ("residuals", "all"):
+                harness.residual_config(config).validate()
         except ConfigError as exc:
             parser.error(f"residual check: {exc}")
+        try:
+            if ns.check in ("theorem", "all"):
+                harness.theorem_config(config)
+        except ConfigError as exc:
+            parser.error(f"theorem check: {exc}")
     for eps in eps_list:
         try:
             replace(config, eps=eps).validate()
@@ -165,15 +172,16 @@ def _execute_study(cmd: Command) -> int:
 
 
 def _execute_verify(cmd: Command) -> int:
-    outcomes: list[CheckOutcome] = []
-    if cmd.check in ("identity", "all"):
-        outcomes.append(harness.verify_identity())
-    if cmd.check in ("residuals", "all"):
-        outcomes.append(harness.verify_residuals(cmd.config))
-    if cmd.check in ("theorem", "all"):
-        outcomes.append(harness.verify_theorem(cmd.config))
-    if cmd.check in ("entropy-ineq", "all"):
-        outcomes.append(harness.verify_entropy_inequality())
+    # the checks share no state, so they run as independent calls
+    checks = {
+        "identity": harness.verify_identity,
+        "residuals": lambda: harness.verify_residuals(cmd.config),
+        "theorem": lambda: harness.verify_theorem(cmd.config),
+        "entropy-ineq": harness.verify_entropy_inequality,
+    }
+    outcomes: list[CheckOutcome] = harness.in_parallel(
+        check for name, check in checks.items() if cmd.check in (name, "all")
+    )
     all_ok = True
     for outcome in outcomes:
         status = "PASS" if outcome.passed else "FAIL"

@@ -9,12 +9,17 @@ copies the block once per step, and forms every diagnostic (error sums,
 phi, K norms, residual integrals) from the copies once per chunk of steps.
 ``run_pair`` is its one-eps case.  The convergence study runs an eps sweep
 with a grid refined so that dx <= eps, one group per grid and step, then
-fits the log-log rate of the relaxation-scaled squared error.
+fits the log-log rate of the relaxation-scaled squared error.  The groups
+of a sweep, like the checks of ``verify``, share no state: ``in_parallel``
+runs them on two processes when two CPUs are free.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import threading
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -602,13 +607,128 @@ class StudyResult:
     failures: list[tuple[float, str]] = field(default_factory=list)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# True while in_parallel runs calls, in the parent and in its child, so a
+# call made from inside one of them runs serially
+_parallel_running = False
+
+
+def _take(calls, tasks) -> list[tuple[int, bool, object]]:
+    """Run the calls whose indices this process reads from the pipe ``tasks``, until it is drained.
+
+    Returns (index, raised, result or exception) per call taken.
+    """
+    taken = []
+    while index := tasks.read(4):
+        i = int.from_bytes(index, "little")
+        try:
+            taken.append((i, False, calls[i]()))
+        except Exception as exc:  # raised by in_parallel, in call order
+            taken.append((i, True, exc))
+    return taken
+
+
+def _serve(calls, tasks, results) -> None:
+    """The forked child of ``in_parallel``: take calls, send back what they gave, leave by ``os._exit``."""
+    global _parallel_running
+    code = 1
+    try:
+        _parallel_running = True
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            taken = _take(calls, tasks)
+        raised = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+        results.write(pickle.dumps((taken, raised)))
+        results.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def in_parallel(calls) -> list:
+    """The results of the zero-argument ``calls``, in order, computed by up to two processes.
+
+    With two calls or more, two usable CPUs, ``os.fork``, no other live
+    thread (a fork with live threads can deadlock) and no enclosing
+    ``in_parallel`` at work in this process, one child is forked; otherwise
+    the calls run here, one after the other.  The child and this process
+    take call indices in turn from one pipe, so the load balances itself
+    and a list that puts its largest calls first ends soonest.  The child
+    never writes to stdout: it pickles its results and the warnings its
+    calls raised back through a second pipe and leaves by ``os._exit``.
+    Its warnings are issued again here.
+
+    As in a serial run, the first call in call order that raised raises
+    here, although later calls may have run.  A child that dies or sends
+    nothing raises ``ChildProcessError``.  The child is reaped on every
+    exit path.
+    """
+    global _parallel_running
+    calls = list(calls)
+    if (
+        len(calls) < 2 or _parallel_running or not hasattr(os, "fork")
+        or _usable_cpus() < 2 or threading.active_count() > 1
+    ):
+        return [call() for call in calls]
+    # every index is in the pipe before the fork, so a read that finds it
+    # empty finds its end; at 4 bytes per index a pipe's 64 KiB hold 16,384
+    tasks_fd, tasks_in = os.pipe()
+    with open(tasks_in, "wb") as stream:
+        stream.write(b"".join(i.to_bytes(4, "little") for i in range(len(calls))))
+    results_fd, results_in = os.pipe()
+    with open(tasks_fd, "rb", buffering=0) as tasks, open(results_fd, "rb") as results:
+        with open(results_in, "wb") as stream:
+            pid = os.fork()
+            if pid == 0:
+                _serve(calls, tasks, stream)
+        # only the child holds the write end now: the read ends when the child does
+        payload = None
+        try:
+            _parallel_running = True
+            taken = _take(calls, tasks)
+            payload = results.read()
+        finally:
+            _parallel_running = False
+            if payload is None:
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0 or not payload:
+        ended = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
+        raise ChildProcessError(f"the worker process {ended} before it sent its results")
+    child_taken, raised = pickle.loads(payload)
+    # the registry that a warning raised here would use, so a warning shown
+    # once per location stays shown once
+    registry = globals().setdefault("__warningregistry__", {})
+    for message, category, filename, lineno in raised:
+        warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+    outcomes = {i: (failed, value) for i, failed, value in taken + child_taken}
+    out = []
+    for i in range(len(calls)):
+        failed, value = outcomes[i]
+        if failed:
+            raise value
+        out.append(value)
+    return out
+
+
 def _march_sweep(configs: list[RunConfig], accumulate) -> list[RunResult | Exception]:
     """March each config of an eps sweep; the eps sharing a grid and a step march as one group.
 
     The configs differ only in eps and n_cells.  Every config is validated
-    before any marching; the valid ones are grouped by (n_cells, step), in
-    order of first appearance, and each group is one ``run_group``.  Returns,
-    per config in order, its ``RunResult``, or the ``ConfigError`` or
+    before any marching; the valid ones are grouped by (n_cells, step), and
+    each group is one ``run_group``.  The groups share no state, so they go
+    to ``in_parallel`` as its calls, the largest in cells x steps x rows
+    first (ties in order of first appearance): with two processes the
+    sweep ends when its largest group does, or soon after.  Returns, per
+    config in order, its ``RunResult``, or the ``ConfigError`` or
     ``InstabilityError`` that stopped it.
     """
     outcomes: list[RunResult | Exception | None] = [None] * len(configs)
@@ -620,9 +740,15 @@ def _march_sweep(configs: list[RunConfig], accumulate) -> list[RunResult | Excep
             outcomes[i] = exc
             continue
         groups.setdefault((run_cfg.n_cells, _step_size(run_cfg)), []).append(i)
-    for members in groups.values():
-        group = [configs[i].eps for i in members]
-        for i, outcome in zip(members, run_group(configs[members[0]], group, accumulate=accumulate)):
+    order = sorted(groups, key=lambda key: -key[0] * key[1].n_steps * len(groups[key]))
+    marched = in_parallel(
+        lambda members=groups[key]: run_group(
+            configs[members[0]], [configs[i].eps for i in members], accumulate=accumulate
+        )
+        for key in order
+    )
+    for key, results in zip(order, marched):
+        for i, outcome in zip(groups[key], results):
             outcomes[i] = outcome
     return outcomes
 
@@ -743,11 +869,24 @@ def verify_identity(
     )
 
 
+def _linear_semi_discrete(config: RunConfig, needs: str) -> RunConfig:
+    """``config`` as an unrecorded semi-discrete run; ``ConfigError`` unless its flux is linear.
+
+    ``needs`` names what the check reads that only the linear system has.
+    """
+    if config.flux != model.LINEAR:
+        raise ConfigError(f"{needs} need the linear flux, not {config.flux!r}")
+    return replace(config, scheme=SEMI_DISCRETE, record_every=0, out_dir=None)
+
+
 def residual_config(config: RunConfig) -> RunConfig:
     """The semi-discrete run of ``config`` that the residual check marches; linear flux only."""
-    if config.flux != model.LINEAR:
-        raise ConfigError(f"the residual integrals need the linear flux, not {config.flux!r}")
-    return replace(config, scheme=SEMI_DISCRETE, record_every=0, out_dir=None)
+    return _linear_semi_discrete(config, "the residual integrals")
+
+
+def theorem_config(config: RunConfig) -> RunConfig:
+    """The well-prepared semi-discrete runs of ``config`` that the theorem check marches; linear flux only."""
+    return replace(_linear_semi_discrete(config, "the stability bound and phi"), well_prepared=True)
 
 
 def verify_residuals(config: RunConfig) -> CheckOutcome:
@@ -765,7 +904,7 @@ def verify_theorem(config: RunConfig, eps_values=(0.1, 0.05, 0.025)) -> CheckOut
     The eps that share the grid's step march as one group (``_march_sweep``);
     the first failed run, in ``eps_values`` order, raises.  sup phi covers every step.
     """
-    base = replace(config, scheme=SEMI_DISCRETE, well_prepared=True, record_every=0, out_dir=None)
+    base = theorem_config(config)
     results = _march_sweep([replace(base, eps=eps) for eps in eps_values], accumulate=("k-norms",))
     for result in results:
         if isinstance(result, Exception):

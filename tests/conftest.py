@@ -1,3 +1,6 @@
+import os
+import select
+
 import numpy as np
 import pytest
 
@@ -41,3 +44,32 @@ def split_steps(march: schemes.PairMarch, n: int = 1) -> schemes.PairMarch:
         march.convect()
         march.relax()
     return march
+
+
+@pytest.fixture
+def meeting():
+    """(wait, arrive): ``wait()`` returns once ``arrive()`` has been called, in any process.
+
+    Each returns the pid of the process that ran it.  Run one after the
+    other, ``wait()`` gives up after 10 s with an ``AssertionError``, so two
+    calls that return normally ran at once.
+    """
+    read_end, write_end = os.pipe()
+
+    def wait() -> int:
+        assert select.select([read_end], [], [], 10.0)[0], "the other call never arrived"
+        return os.getpid()
+
+    def arrive() -> int:
+        os.write(write_end, b"x")
+        return os.getpid()
+
+    yield wait, arrive
+    os.close(read_end)
+    os.close(write_end)
+
+
+def assert_no_child_left() -> None:
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

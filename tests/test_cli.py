@@ -1,3 +1,6 @@
+import os
+import select
+import signal
 import warnings
 
 import numpy as np
@@ -5,6 +8,8 @@ import pytest
 
 from jinxin import cli, diagnostics, harness
 from jinxin.cli import build_parser, execute, parse_args
+
+from conftest import assert_no_child_left
 
 
 class TestParsing:
@@ -192,11 +197,14 @@ class TestParsing:
         for name in ("run", "study", "verify"):
             text = sub.choices[name].format_help()
             for key in harness.CONFIG_KEYS:
+                if (name, key) == ("verify", "record_every"):
+                    continue  # no verify check reads the stride
                 flag = "--" + ("lambda" if key == "lambda" else key.replace("_", "-"))
                 assert flag in text, f"{flag} missing from {name} help"
             assert "--config" in text and "--out-dir" in text
         assert "--eps-list" in sub.choices["study"].format_help()
         assert "--check" in sub.choices["verify"].format_help()
+        assert "--record-every" not in sub.choices["verify"].format_help()
 
 
 class TestExecution:
@@ -358,6 +366,68 @@ class TestExecution:
         assert captured.err.splitlines()[-1] == (
             "jinxin: error: residual check: the residual integrals need the linear flux, not 'burgers'"
         )
+
+    def test_theorem_check_refuses_a_nonlinear_flux(self, monkeypatch, capsys):
+        # the stability bound and the quadratic phi are those of the linear system
+        monkeypatch.setattr(harness, "run_group", None)  # any march would fail loudly
+        with pytest.raises(SystemExit) as err:
+            cli.main(["verify", "--check", "theorem", "--flux", "burgers", "--lambda", "3"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "jinxin: error: theorem check: the stability bound and phi need the linear flux, not 'burgers'"
+        )
+
+    def test_only_the_marching_commands_take_a_record_stride(self, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "run_group", None)  # any march would fail loudly
+        with pytest.raises(SystemExit) as err:
+            cli.main(["verify", "--record-every", "5"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "jinxin: error: unrecognized arguments: --record-every 5"
+        )
+        for kind in ("run", "study"):
+            assert parse_args([kind, "--record-every", "5"]).config.record_every == 5
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--check", "theorem"],
+        ["verify", "--check", "identity"],
+        ["run", "--eps", "0.5", "--nx", "32", "--tfinal", "0.01"],
+        ["run", "--scheme", "semi-discrete", "--nx", "32", "--tfinal", "0.01"],
+    ])
+    def test_one_check_or_one_march_starts_no_process(self, argv, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(os, "fork", None)  # any fork would fail loudly
+        assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 0
+        assert "[PASS]" in capsys.readouterr().out or argv[0] == "run"
+
+    def test_a_worker_that_dies_is_one_error_line(self, monkeypatch, capsys):
+        # the parent's stand-in checks wait until the forked child has taken
+        # one and killed itself
+        parent = os.getpid()
+        died_r, died_w = os.pipe()
+
+        def check(*_args):
+            if os.getpid() != parent:
+                os.write(died_w, b"x")
+                os.kill(os.getpid(), signal.SIGKILL)
+            select.select([died_r], [], [], 10.0)
+            return harness.CheckOutcome(name="stand-in", passed=True, lines=[])
+
+        for name in ("verify_identity", "verify_residuals", "verify_theorem", "verify_entropy_inequality"):
+            monkeypatch.setattr(harness, name, check)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        try:
+            assert cli.main(["verify"]) == 1
+        finally:
+            os.close(died_r)
+            os.close(died_w)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: the worker process was killed by signal 9 before it sent its results"
+        ]
+        assert_no_child_left()
 
     def test_main_exit_status(self, tmp_path):
         assert cli.main(["run", "--eps", "0.5", "--nx", "32", "--tfinal", "0.01",

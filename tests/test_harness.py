@@ -1,4 +1,5 @@
 import math
+import os
 import warnings
 from dataclasses import fields, replace
 
@@ -23,7 +24,7 @@ from jinxin.harness import (
     write_study,
 )
 
-from conftest import split_steps
+from conftest import assert_no_child_left, split_steps
 
 
 def assert_same_run(got, expected):
@@ -459,6 +460,7 @@ class TestRunGroup:
             return real(config, group, accumulate)
 
         monkeypatch.setattr(harness, "run_group", spy)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)  # a forked child's spy records nothing here
         study = convergence_study(cfg, epsilons)
         assert sum(sizes) == len(epsilons) and max(sizes) >= 2  # some points march together
         lone = [
@@ -640,10 +642,13 @@ class TestRunGroup:
             return results
 
         monkeypatch.setattr(harness, "run_group", spy)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)  # a forked child's spy records nothing here
         assert harness.verify_theorem(RunConfig(eps=0.1, n_cells=n_cells), epsilons).passed
         assert seen == sizes
-        assert [r.config.eps for r in marched] == list(epsilons)
-        for eps, result in zip(epsilons, marched):
+        # the largest group marches first: on 20 cells, the smallest eps takes the most steps
+        marched_eps = [r.config.eps for r in marched]
+        assert marched_eps == (list(epsilons) if sizes == [3] else list(epsilons)[::-1])
+        for eps, result in zip(marched_eps, marched):
             cfg = RunConfig(eps=eps, n_cells=n_cells, scheme="semi-discrete", well_prepared=True)
             lone = run_pair(cfg, accumulate=("k-norms",))
             assert result.config == cfg
@@ -660,3 +665,79 @@ class TestRunGroup:
             run_group(RunConfig(n_cells=64, t_final=0.02, out_dir=str(tmp_path)), (0.1, 0.05))
         with pytest.raises(ConfigError, match="subcharacteristic"):
             run_group(RunConfig(n_cells=64, t_final=0.02), (0.1, 2.0))
+
+
+class TestInParallel:
+    def test_two_calls_run_at_once_in_two_processes(self, meeting, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        pids = harness.in_parallel(meeting)
+        assert len(set(pids)) == 2 and os.getpid() in pids
+        assert_no_child_left()
+
+    def test_results_equal_the_serial_path_bit_for_bit(self, monkeypatch):
+        # four groups, one per grid and step, with every accumulator
+        cfg = RunConfig(n_cells=20, t_final=0.01, well_prepared=True, scheme="semi-discrete")
+        configs = [replace(cfg, eps=eps, n_cells=study_cells(cfg, eps)) for eps in (0.1, 0.05, 0.025, 0.0125)]
+        runs = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+            runs[cpus] = harness._march_sweep(configs, harness.ACCUMULATORS)
+            assert_no_child_left()
+        assert len({(r.grid.n_cells, r.step) for r in runs[1]}) == 4
+        for config, serial, parallel in zip(configs, runs[1], runs[2]):
+            assert parallel.config == config
+            assert_same_run(parallel, serial)
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_the_first_call_that_raised_raises(self, first, meeting, monkeypatch):
+        # the two calls run at once, one in each process, and both raise
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+
+        def raising(meet, name):
+            def call():
+                meet()
+                raise ValueError(name)
+            return call
+
+        calls = [raising(meet, f"call {i}") for i, meet in enumerate(meeting)]
+        with pytest.raises(ValueError, match="^call 0$"):
+            harness.in_parallel(calls if first == 0 else [lambda: None, *calls])
+        assert_no_child_left()
+
+    def test_a_nested_call_runs_serially(self, meeting, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+
+        def nested(meet):
+            def call():
+                meet()
+                inner = harness.in_parallel([os.getpid, os.getpid, os.getpid])
+                return os.getpid(), set(inner), len(forks)
+            return call
+
+        outcomes = harness.in_parallel([nested(meet) for meet in meeting])
+        assert len({pid for pid, _, _ in outcomes}) == 2
+        # each inner list ran in its own caller's process, which forked no one
+        assert all(inner == {pid} and n_forks == 1 for pid, inner, n_forks in outcomes)
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_the_warnings_of_a_split_study_are_caught(self, monkeypatch):
+        # every group warns that the waves reach the boundary
+        cfg = RunConfig(n_cells=16, lam=1.0, t_final=0.5, well_prepared=True)
+        caught = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+            with pytest.warns(BoundaryReachWarning) as record:
+                convergence_study(cfg, (0.5, 0.1, 0.05, 0.025))
+            caught[cpus] = [str(w.message) for w in record if w.category is BoundaryReachWarning]
+            assert_no_child_left()
+        assert len(caught[1]) >= 2  # one per group
+        assert caught[2] == caught[1]
