@@ -740,7 +740,7 @@ def _march_sweep(configs: list[RunConfig], accumulate) -> list[RunResult | Excep
             outcomes[i] = exc
             continue
         groups.setdefault((run_cfg.n_cells, _step_size(run_cfg)), []).append(i)
-    order = sorted(groups, key=lambda key: -key[0] * key[1].n_steps * len(groups[key]))
+    order = sorted(groups, key=lambda key: key[0] * key[1].n_steps * len(groups[key]), reverse=True)
     marched = in_parallel(
         lambda members=groups[key]: run_group(
             configs[members[0]], [configs[i].eps for i in members], accumulate=accumulate

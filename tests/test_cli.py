@@ -396,10 +396,9 @@ class TestExecution:
         ["run", "--eps", "0.5", "--nx", "32", "--tfinal", "0.01"],
         ["run", "--scheme", "semi-discrete", "--nx", "32", "--tfinal", "0.01"],
     ])
-    def test_one_check_or_one_march_starts_no_process(self, argv, monkeypatch, tmp_path, capsys):
+    def test_one_check_or_one_march_starts_no_process(self, argv, monkeypatch, tmp_path):
         monkeypatch.setattr(os, "fork", None)  # any fork would fail loudly
         assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 0
-        assert "[PASS]" in capsys.readouterr().out or argv[0] == "run"
 
     def test_a_worker_that_dies_is_one_error_line(self, monkeypatch, capsys):
         # the parent's stand-in checks wait until the forked child has taken
