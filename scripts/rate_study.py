@@ -3,8 +3,9 @@
 
 Reproduces the eps^4 decay of the relaxation-scaled squared error between
 the relaxed and the limiting discrete solutions (log-log slope ~ 4).  The
-Burgers sweep takes a minute or two: the explicit limit diffusion lam^2 = 9
-forces small steps on the finest grid.
+Burgers sweep takes about 12 s on 2 vCPUs (Python 3.11, NumPy 2.4): the
+explicit limit diffusion lam^2 = 9 forces 421,474 steps on the finest grid,
+and that one march bounds the sweep.
 """
 
 import argparse

@@ -11,14 +11,19 @@ phi, K norms, residual integrals) from the copies once per chunk of steps.
 with a grid refined so that dx <= eps, one group per grid and step, then
 fits the log-log rate of the relaxation-scaled squared error.  The groups
 of a sweep, like the checks of ``verify``, share no state: ``in_parallel``
-runs them on two processes when two CPUs are free.
+runs them on two processes when two CPUs are free.  By the same rule
+(``_can_fork``), a run that writes profiles at its record points hands
+their formatting to a forked writer.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import pickle
+import select
+import signal
 import threading
 import warnings
 from dataclasses import dataclass, field, fields, replace
@@ -213,9 +218,16 @@ def _write_rows(path: str | Path, header: str, columns) -> None:
     Path(path).write_text(header + "\n" + (line * len(values)) % tuple(values.ravel().tolist()))
 
 
+@functools.lru_cache(maxsize=4)
+def _profile_rows(grid: Grid) -> str:
+    """The rows of a profile on ``grid``: x formatted, then a ``%.17g`` slot for each of u, v, ubar, vbar."""
+    return "".join(f"{x:.17g},%.17g,%.17g,%.17g,%.17g\n" for x in grid.centers.tolist())
+
+
 def write_profile(path: str | Path, grid: Grid, hyp: HyperbolicState, lim: LimitState) -> None:
     """One row per cell: x, u, v, ubar, vbar (17 significant digits)."""
-    _write_rows(path, "x,u,v,ubar,vbar", (grid.centers, hyp.u, hyp.v, lim.ubar, lim.vbar))
+    values = np.stack((hyp.u, hyp.v, lim.ubar, lim.vbar), axis=1)
+    Path(path).write_text("x,u,v,ubar,vbar\n" + _profile_rows(grid) % tuple(values.ravel().tolist()))
 
 
 def write_series(path: str | Path, series: ErrorSeries) -> None:
@@ -226,34 +238,141 @@ def write_series(path: str | Path, series: ErrorSeries) -> None:
     )
 
 
+def _write_profiles(tasks_fd: int, results_fd: int) -> None:
+    """The forked profile writer: ``write_profile`` each message of the pipe until it ends.
+
+    A write that raises is reported at once, through the results pipe, and
+    no later message is written; the pipe is still read to its end, so the
+    march never waits on a full pipe.  Leaves by ``os._exit``.
+    """
+    code = 1
+    try:
+        failed = False
+        with open(tasks_fd, "rb") as tasks, open(results_fd, "wb") as results:
+            while True:
+                try:
+                    message = pickle.load(tasks)
+                except EOFError:
+                    break
+                if failed:
+                    continue
+                try:
+                    write_profile(*message)
+                except Exception as exc:  # raised again in the marching process
+                    # read there at its next write or at its end: an error
+                    # naming one path is far below the 64 KiB a pipe holds
+                    results.write(pickle.dumps(exc))
+                    results.flush()
+                    failed = True
+        code = 0
+    finally:
+        os._exit(code)
+
+
+class _ProfileWriter:
+    """Where ``run_group`` sends its profiles: a forked process that writes them, or this one.
+
+    With ``fork`` true, entering the ``with`` block forks one writer,
+    ``write()`` pickles its arguments into a pipe, and the march goes on
+    while the writer formats; otherwise ``write()`` is ``write_profile``.
+    Leaving the block drains the writer and reaps it, then raises what one
+    of its writes raised, or ``ChildProcessError`` if it died.  A write
+    that raised shows at the next ``write()`` already.  Leaving by an
+    exception kills the writer before it is reaped.
+    """
+
+    def __init__(self, fork: bool) -> None:
+        self.fork, self.pid = fork, None
+
+    def __enter__(self) -> _ProfileWriter:
+        if not self.fork:
+            return self
+        tasks_fd, self.tasks = os.pipe()
+        self.results, results_in = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            for fd in (tasks_fd, self.tasks, self.results, results_in):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            os.close(self.tasks)
+            os.close(self.results)
+            _write_profiles(tasks_fd, results_in)
+        # only the writer holds the read end of the tasks and the write end of the results
+        os.close(tasks_fd)
+        os.close(results_in)
+        return self
+
+    def write(self, path: Path, grid: Grid, hyp: HyperbolicState, lim: LimitState) -> None:
+        if self.pid is not None and select.select([self.results], [], [], 0)[0]:
+            self.close()  # a write failed or the writer died: this raises why
+        if self.pid is None:
+            write_profile(path, grid, hyp, lim)
+            return
+        message = memoryview(pickle.dumps((path, grid, hyp, lim), pickle.HIGHEST_PROTOCOL))
+        try:
+            while message:
+                message = message[os.write(self.tasks, message) :]
+        except BrokenPipeError:
+            self.close()  # the writer died: this raises how
+
+    def close(self, kill: bool = False) -> None:
+        """Drain and reap the writer, killed first if ``kill``; unless killed, raise what it reported."""
+        if self.pid is None:
+            return
+        pid, self.pid = self.pid, None
+        os.close(self.tasks)
+        payload = None
+        try:
+            with open(self.results, "rb") as results:
+                if not kill:
+                    payload = results.read()
+        finally:
+            status = _reap(pid, kill=payload is None)
+        if payload is None:
+            return
+        if status != 0:
+            raise _child_failed("profile writer", status)
+        if payload:
+            raise pickle.loads(payload)
+
+    def __exit__(self, kind, value, traceback) -> None:
+        self.close(kill=kind is not None)
+
+
 ACCUMULATORS = ("k-norms", "residuals")
 
 
 class _RunningSums:
     """Every diagnostic of a group's march, formed once per chunk of steps.
 
-    A step copies the march's block, shaped (2, k+1, n+2), into slot ``j``
-    of ``blocks``.  ``flush()`` forms everything else from those copies, for
-    the whole chunk at once: the boundary jump v_1 - v_n of every relaxed
-    row, D_xx of the vbar rows (``diagnostics._dxx``), with ``k_norms``
-    dvbar/dt, and the padded differences of every relaxed pair from the
-    limit pair, which overwrite the relaxed rows.  dvbar/dt replays the ops
-    of ``schemes._pair_rate_ops`` and ``schemes._closure_rate_ops``, built
-    once here on ``limits``, a contiguous (2, chunk, n+2) copy of the
-    chunk's limit pairs.  Each field is reduced along its contiguous cells,
-    row by row, to left-endpoint increments, which it adds with
-    ``np.add.accumulate``: the same float sequence as one step at a time.
-    The cell sums of du^2, dv^2 and du dv of every slot go through the
-    quadratic form ``diagnostics._weighted_form`` once per chunk: its phi is
-    what the records read, ``sup_phi`` keeps each row's max of it over every
-    slot, and dt phi is what the weighted error gains per step.  ``totals``
-    holds the sums so far: the squared L2 error and the weighted error of
-    each row, the boundary inflow of each row, the two K norms, then the
-    eight residual integrals of each row; a column not asked for stays 0.
-    A record point's totals and phi are copied out when its chunk is flushed.
+    The chunk is stored pair-major, shaped (k+1, 2, chunk, n+2): a step
+    copies the march's pairs into slot ``j`` of ``store``, so each field of
+    each pair lies over the chunk's steps as one contiguous span.
+    ``flush()`` forms everything else from those copies, for the whole chunk
+    at once: the boundary jump v_1 - v_n of every relaxed row, D_xx of vbar
+    (four prebuilt ops in ``diagnostics._dxx``'s order on the flat span of
+    the stored vbar), with ``k_norms`` dvbar/dt, and the padded differences
+    of every relaxed pair from the limit pair, which overwrite the relaxed
+    pairs.  dvbar/dt replays the ops of ``schemes._pair_rate_ops`` and
+    ``schemes._closure_rate_ops``, built once here on the stored limit pair,
+    a contiguous (2, chunk, n+2) block of its own.  Each field is reduced
+    along its contiguous cells, row by row, to left-endpoint increments,
+    which it adds with ``np.add.accumulate``: the same float sequence as one
+    step at a time.  The cell sums of du^2, dv^2 and du dv of every slot,
+    whose products go to ``cross`` and into the differences in place, pass
+    through the quadratic form ``diagnostics._weighted_form`` once per
+    chunk: its phi is what the records read, ``sup_phi`` keeps each row's
+    max of it over every slot, and dt phi is what the weighted error gains
+    per step.  ``totals`` holds the sums so far: the squared L2 error and
+    the weighted error of each row, the boundary inflow of each row, the two
+    K norms, then the eight residual integrals of each row; a column not
+    asked for stays 0.  A record point's totals and phi are copied out when
+    its chunk is flushed.
     """
 
-    FIELD_BYTES = 1 << 19  # the stored blocks and the flush's fields of one chunk, at most 256 steps
+    FIELD_BYTES = 1 << 19  # the stored pairs and the flush's fields of one chunk, at most 256 steps
 
     def __init__(
         self, params: list[ModelParams], grid: Grid, dt: float, k_norms: bool, residuals: bool
@@ -262,19 +381,28 @@ class _RunningSums:
         self.params, self.grid, self.k_norms, self.residuals = params, grid, k_norms, residuals
         self.k, self.dt, self.dtdx = k, dt, dt * dx
         self.eps = np.array([q.eps for q in params])
-        # cell rows per step: the stored block and the cross products, the
+        # cell rows per step: the stored pairs and the cross products, the
         # two K fields, and the residual integrands
         rows = 3 * k + 2 + 2 * k_norms + 11 * residuals
         self.chunk = c = max(1, min(256, self.FIELD_BYTES // (8 * (n + 2) * rows)))
         # zeros, not garbage, in the slots that no step writes
-        self.blocks = schemes._zeros((c, 2, k + 1, n + 2))
+        self.store = schemes._zeros((k + 1, 2, c, n + 2))
+        self.slots = [self.store[:, :, j] for j in range(c)]
+        self.cross = schemes._zeros((k, c, n + 2))
+        limit = self.store[k]
+        if k_norms or residuals:
+            self.dxx_vbar = schemes._zeros((c, n + 2))
+            span = self.dxx_vbar.reshape(-1)[1:-1]
+            self.dxx_ops = (
+                *schemes._second_difference_ops(limit[1].reshape(-1), span),
+                (np.divide, (span, dx**2, span)),
+            )
         if k_norms:
-            self.limits = schemes._zeros((2, c, n + 2))
             rates, self.dvbar_dt = schemes._zeros((2, c, n + 2))
             self.rate_ops = (
-                *schemes._pair_rate_ops(p, dx, self.limits, (), rates),
+                *schemes._pair_rate_ops(p, dx, limit, (), rates),
                 *schemes._closure_rate_ops(
-                    p, dx, self.limits[0].reshape(-1)[1:-1], rates, self.dvbar_dt.reshape(-1)[1:-1]
+                    p, dx, limit[0].reshape(-1)[1:-1], rates, self.dvbar_dt.reshape(-1)[1:-1]
                 ),
             )
         self.res0 = 3 * k + 2  # the first residual column
@@ -299,28 +427,35 @@ class _RunningSums:
         reached = [step - self.start for step in self.pending if step <= self.start + j]
         inc = acc[1 : j + 1]
         # every slot that holds a state: the j steps, and slot j when a record reaches it
-        blocks = self.blocks[: j + (j in reached)]
-        relaxed, limit = blocks[:, :, :k], blocks[:, :, k:]
+        m = j + (j in reached)
+        relaxed, limit = self.store[:k, :, :m], self.store[k:, :, :m]
         # boundary HLL fluxes collapse to the edge v under copy ghosts
-        inc[:, 2 * k : 3 * k] = self.dt * (relaxed[:j, 1, :, 1] - relaxed[:j, 1, :, -2])
+        inc[:, 2 * k : 3 * k] = self.dt * (relaxed[:, 1, :j, 1] - relaxed[:, 1, :j, -2]).T
         if self.k_norms or self.residuals:
-            dxx_vbar = diagnostics._dxx(dx, limit[:j, 1, 0])
-        if self.k_norms:
-            np.copyto(self.limits[:, :j], limit[:j, :, 0].transpose(1, 0, 2))
-            schemes._run(self.rate_ops)
-            for col, cells in enumerate((self.dvbar_dt[:j, 1:-1], dxx_vbar), start=3 * k):
-                inc[:, col] = self.dtdx * np.add.reduce(cells * cells, axis=-1)
+            schemes._run(self.dxx_ops)
         diffs = np.subtract(relaxed, limit, out=relaxed)
         if self.residuals:
             for i, q in enumerate(self.params):
-                integrands = diagnostics._residual_integrands(q, dx, diffs[:j, 0, i], diffs[:j, 1, i], dxx_vbar)
+                integrands = diagnostics._residual_integrands(
+                    q, dx, diffs[i, 0, :j], diffs[i, 1, :j], self.dxx_vbar[:j, 1:-1]
+                )
                 for col, cells in enumerate(integrands, start=self.res0 + 8 * i):
                     inc[:, col] = self.dtdx * np.add.reduce(cells, axis=-1)
-        # the cross sums (none for Burgers), then the squares in place
-        cells = diffs[..., 1:-1]
+        if self.k_norms:
+            schemes._run(self.rate_ops)
+            # squared in place over the whole chunk, once the residuals have read D_xx vbar
+            for col, cells in enumerate((self.dvbar_dt, self.dxx_vbar), start=3 * k):
+                np.multiply(cells, cells, out=cells)
+                inc[:, col] = self.dtdx * np.add.reduce(cells[:j, 1:-1], axis=-1)
+        # the cross sums (none for Burgers), then the squares in place, on
+        # whole padded rows; each row (k, slot) reduces over its cells
         linear = self.params[0].flux == model.LINEAR
-        cross = np.add.reduce(cells[:, 0] * cells[:, 1], axis=-1) if linear else 0.0
-        du2, dv2 = np.moveaxis(np.add.reduce(np.multiply(cells, cells, out=cells), axis=-1), 1, 0)
+        cross = 0.0
+        if linear:
+            products = np.multiply(diffs[:, 0], diffs[:, 1], out=self.cross[:, :m])
+            cross = np.add.reduce(products[..., 1:-1], axis=-1).T
+        squares = np.multiply(diffs, diffs, out=diffs)
+        du2, dv2 = np.add.reduce(squares[..., 1:-1], axis=-1).transpose(1, 2, 0)
         phi = diagnostics._weighted_form(self.params[0], self.eps, dx, du2, dv2, cross)
         np.maximum(self.sup_phi, phi.max(axis=0, initial=-np.inf), out=self.sup_phi)
         if reached:
@@ -363,10 +498,15 @@ def run_group(
     costly extras, both by default: the K norms ("k-norms", NaN when not
     asked for) and, for the linear semi-discrete runs, the residual integrals
     ("residuals", None when not asked for).  Profiles and the series file are
-    written for a single eps only.  A step only copies the march's block into
+    written for a single eps only.  A step only copies the march's pairs into
     the chunk of ``_RunningSums``, whose flush forms every diagnostic from the
     copies; the entropy budgets alone, which need the states, are evaluated
-    at the record points.
+    at the record points.  When profiles are written at record points
+    (``record_every`` > 0) and ``_can_fork()``, a forked ``_ProfileWriter``
+    formats them while the march goes on, into the same bytes.  It is
+    drained and reaped before this returns or raises; what one of its writes
+    raised is raised here, and a writer that died raises
+    ``ChildProcessError``.
 
     Returns, per eps, its ``RunResult`` or the ``InstabilityError`` that
     ended its row when its cells or its sums stopped being finite; the other
@@ -419,9 +559,11 @@ def run_group(
 
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
+    record_every = config.record_every
+    writer = _ProfileWriter(fork=out_dir is not None and record_every > 0 and _can_fork())
 
     sums = _RunningSums(params, grid, dt, k_norms, residuals)
-    slots = list(sums.blocks)
+    slots = sums.slots
     t_rec: list[float] = []
     mass0 = grid.dx * float(u0.sum())
     dx = grid.dx
@@ -443,46 +585,49 @@ def run_group(
                 continue
             states = march.states(t_k, i) if out_dir is not None or linear_semi else None
             if out_dir is not None:
-                write_profile(out_dir / f"profile_{dump_tag}.csv", grid, *states)
+                writer.write(out_dir / f"profile_{dump_tag}.csv", grid, *states)
             if linear_semi:
                 rel = diagnostics.entropy_budget(params[i], grid, *states).rel_mismatch_max
                 identity_rel_max[i] = max(identity_rel_max[i], rel)
 
-    record_every, chunk = config.record_every, sums.chunk
-    j = 0  # the slot of step k in the chunk
-    for k in range(n_steps):
-        np.copyto(slots[j], march.block)
-        if k == 0 or (record_every > 0 and k % record_every == 0):
-            if not check_cells():
-                return failed
-            record(k, k * dt, "initial" if k == 0 else f"{k:08d}")
+    chunk = sums.chunk
+    # a forked writer formats the profiles while the march goes on
+    with writer:
+        j = 0  # the slot of step k in the chunk
+        for k in range(n_steps):
+            np.copyto(slots[j], march.pairs)
+            if k == 0 or (record_every > 0 and k % record_every == 0):
+                if not check_cells():
+                    return failed
+                record(k, k * dt, "initial" if k == 0 else f"{k:08d}")
 
-        if semi:
-            march.rk4_step()
-        else:
-            march.convect()
-            march.relax()
-        j += 1
-        if j == chunk:
-            sums.flush(j)
-            j = 0
+            if semi:
+                march.rk4_step()
+            else:
+                march.convect()
+                march.relax()
+            j += 1
+            if j == chunk:
+                sums.flush(j)
+                j = 0
 
-    if not check_cells():
-        return failed
-    sums.flush(j)
-    # the cells stay finite while their squares overflow (u ~ 1e200), or
-    # while only the residual integrands do (u ~ 1e150); the K norms,
-    # shared by every row, read 0 when not asked for
-    for i in rows:
-        errors, res = sums.totals[[i, n_rows + i, 3 * n_rows, 3 * n_rows + 1]], sums.res0 + 8 * i
-        if failed[i] is None and not np.isfinite(errors).all():
-            failed[i] = schemes.InstabilityError("non-finite error norms: the squared errors overflow")
-        elif failed[i] is None and not np.isfinite(sums.totals[res : res + 8]).all():
-            failed[i] = schemes.InstabilityError("non-finite residual integrals: the residual terms overflow")
+        if not check_cells():
+            return failed
+        sums.flush(j)
+        # the cells stay finite while their squares overflow (u ~ 1e200), or
+        # while only the residual integrands do (u ~ 1e150); the K norms,
+        # shared by every row, read 0 when not asked for
+        for i in rows:
+            errors, res = sums.totals[[i, n_rows + i, 3 * n_rows, 3 * n_rows + 1]], sums.res0 + 8 * i
+            if failed[i] is None and not np.isfinite(errors).all():
+                failed[i] = schemes.InstabilityError("non-finite error norms: the squared errors overflow")
+            elif failed[i] is None and not np.isfinite(sums.totals[res : res + 8]).all():
+                failed[i] = schemes.InstabilityError("non-finite residual integrals: the residual terms overflow")
 
-    # after the flush, the final state takes slot 0
-    np.copyto(slots[0], march.block)
-    record(n_steps, p.t_final, "final")
+        # after the flush, the final state takes slot 0
+        np.copyto(slots[0], march.pairs)
+        record(n_steps, p.t_final, "final")
+
     sums.flush(0)
     recorded, phi = np.concatenate(sums.recorded), np.concatenate(sums.phi)
     k_series = recorded[:, 3 * n_rows : sums.res0] if k_norms else np.full((len(t_rec), 2), math.nan)
@@ -651,17 +796,41 @@ def _serve(calls, tasks, results) -> None:
         os._exit(code)
 
 
+def _can_fork() -> bool:
+    """Whether this process may fork a helper process.
+
+    It needs two usable CPUs, ``os.fork``, no other live thread (a fork with
+    live threads can deadlock) and no enclosing ``in_parallel`` at work in
+    this process.
+    """
+    return (
+        not _parallel_running and hasattr(os, "fork")
+        and _usable_cpus() >= 2 and threading.active_count() == 1
+    )
+
+
+def _reap(pid: int, kill: bool) -> int:
+    """Wait for the child ``pid``, sent SIGKILL first if ``kill``; its exit code, or minus its signal."""
+    if kill:
+        os.kill(pid, signal.SIGKILL)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _child_failed(what: str, status: int) -> ChildProcessError:
+    """The error for a forked ``what`` that ended with ``status`` before it sent its results."""
+    ended = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
+    return ChildProcessError(f"the {what} process {ended} before it sent its results")
+
+
 def in_parallel(calls) -> list:
     """The results of the zero-argument ``calls``, in order, computed by up to two processes.
 
-    With two calls or more, two usable CPUs, ``os.fork``, no other live
-    thread (a fork with live threads can deadlock) and no enclosing
-    ``in_parallel`` at work in this process, one child is forked; otherwise
-    the calls run here, one after the other.  The child and this process
-    take call indices in turn from one pipe, so the load balances itself
-    and a list that puts its largest calls first ends soonest.  The child
-    never writes to stdout: it pickles its results and the warnings its
-    calls raised back through a second pipe and leaves by ``os._exit``.
+    With two calls or more and ``_can_fork()``, one child is forked;
+    otherwise the calls run here, one after the other.  The child and this
+    process take call indices in turn from one pipe, so the load balances
+    itself and a list that puts its largest calls first ends soonest.  The
+    child never writes to stdout: it pickles its results and the warnings
+    its calls raised back through a second pipe and leaves by ``os._exit``.
     Its warnings are issued again here.
 
     As in a serial run, the first call in call order that raised raises
@@ -671,10 +840,7 @@ def in_parallel(calls) -> list:
     """
     global _parallel_running
     calls = list(calls)
-    if (
-        len(calls) < 2 or _parallel_running or not hasattr(os, "fork")
-        or _usable_cpus() < 2 or threading.active_count() > 1
-    ):
+    if len(calls) < 2 or not _can_fork():
         return [call() for call in calls]
     # every index is in the pipe before the fork, so a read that finds it
     # empty finds its end; at 4 bytes per index a pipe's 64 KiB hold 16,384
@@ -695,14 +861,9 @@ def in_parallel(calls) -> list:
             payload = results.read()
         finally:
             _parallel_running = False
-            if payload is None:
-                import signal
-
-                os.kill(pid, signal.SIGKILL)
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            status = _reap(pid, kill=payload is None)
     if status != 0 or not payload:
-        ended = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
-        raise ChildProcessError(f"the worker process {ended} before it sent its results")
+        raise _child_failed("worker", status)
     child_taken, raised = pickle.loads(payload)
     # the registry that a warning raised here would use, so a warning shown
     # once per location stays shown once

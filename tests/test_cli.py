@@ -428,6 +428,21 @@ class TestExecution:
         ]
         assert_no_child_left()
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_directory_at_a_profile_path_is_one_error_line(self, cpus, monkeypatch, tmp_path, capsys):
+        # with two CPUs the profiles go to a forked writer, whose error is raised here
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        blocked = tmp_path / "profile_initial.csv"
+        blocked.mkdir()
+        argv = ["run", "--eps", "0.5", "--nx", "32", "--tfinal", "0.01", "--record-every", "2",
+                "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: [Errno 21] Is a directory: '{blocked}'"]
+        assert [path.name for path in tmp_path.iterdir()] == ["profile_initial.csv"]
+        assert_no_child_left()
+
     def test_main_exit_status(self, tmp_path):
         assert cli.main(["run", "--eps", "0.5", "--nx", "32", "--tfinal", "0.01",
                          "--out-dir", str(tmp_path)]) == 0

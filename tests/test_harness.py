@@ -1,5 +1,7 @@
 import math
 import os
+import signal
+import time
 import warnings
 from dataclasses import fields, replace
 
@@ -741,3 +743,129 @@ class TestInParallel:
             assert_no_child_left()
         assert len(caught[1]) >= 2  # one per group
         assert caught[2] == caught[1]
+
+
+def counted_forks(monkeypatch) -> list[int]:
+    """The pids that call ``os.fork`` from now on, one entry per fork."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def written(out) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+class TestProfileWriter:
+    @pytest.mark.parametrize("scheme", ["jpt", "semi-discrete"])
+    def test_the_files_are_the_same_with_and_without_the_writer(self, scheme, tmp_path, monkeypatch):
+        forks = counted_forks(monkeypatch)
+        files = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            run_pair(RunConfig(eps=0.5, n_cells=40, t_final=0.02, scheme=scheme, record_every=7, out_dir=str(out)))
+            assert len(forks) == cpus - 1  # the writer formats the profiles of the second run
+            assert_no_child_left()
+            files[cpus] = written(out)
+        assert len(files[1]) > 4 and "series.csv" in files[1]
+        assert files[2] == files[1]
+
+    def test_the_writer_forks_only_where_in_parallel_may(self, tmp_path, monkeypatch):
+        forks = counted_forks(monkeypatch)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        cfg = RunConfig(eps=0.5, n_cells=32, t_final=0.01, record_every=2)
+        # no profiles at the record points: no writer
+        run_pair(replace(cfg, record_every=0, out_dir=str(tmp_path / "none")))
+        assert forks == []
+        # inside in_parallel, whose own child is the only fork
+        runs = [lambda i=i: run_pair(replace(cfg, out_dir=str(tmp_path / f"nested{i}"))) for i in range(2)]
+        harness.in_parallel(runs)
+        assert len(forks) == 1
+        # beside another live thread
+        import threading
+
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            run_pair(replace(cfg, out_dir=str(tmp_path / "threaded")))
+        finally:
+            done.set()
+            thread.join()
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert written(tmp_path / "threaded") == written(tmp_path / "nested0") == written(tmp_path / "nested1")
+
+    def test_rows_that_all_fail_at_a_record_point_leave_no_child(self, tmp_path, monkeypatch):
+        class Poisoned(schemes.PairMarch):
+            """A march whose relaxed pair takes an inf cell at its tenth step."""
+
+            steps = 0
+
+            def relax(self):
+                super().relax()
+                Poisoned.steps += 1
+                if Poisoned.steps == 10:
+                    self.u[20] = np.inf
+
+        monkeypatch.setattr(schemes, "PairMarch", Poisoned)
+        files = {}
+        for cpus in (1, 2):
+            Poisoned.steps = 0
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                schemes.InstabilityError, match="non-finite cell values"
+            ):
+                run_pair(RunConfig(eps=0.5, n_cells=40, t_final=0.02, record_every=7, out_dir=str(out)))
+            assert_no_child_left()
+            files[cpus] = written(out)
+        # the rows failed at step 14, after the profiles of steps 0 and 7
+        assert list(files[1]) == ["profile_00000007.csv", "profile_initial.csv"]
+        assert files[2] == files[1]
+
+    def test_a_writer_that_dies_raises_child_process_error(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+        real = harness.write_profile
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            real(*args)
+
+        monkeypatch.setattr(harness, "write_profile", dying)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        cfg = RunConfig(eps=0.5, n_cells=32, t_final=0.01, record_every=2, out_dir=str(tmp_path))
+        with pytest.raises(ChildProcessError, match="^the profile writer process was killed by signal 9 "):
+            run_pair(cfg)
+        assert_no_child_left()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_error_in_the_march_kills_the_writer(self, tmp_path, monkeypatch):
+        # the writer would sleep for a minute on its first profile: the
+        # march's error must not wait for it
+        parent = os.getpid()
+
+        def sleeping(*args):
+            if os.getpid() != parent:
+                time.sleep(60.0)
+
+        class Broken(schemes.PairMarch):
+            def relax(self):
+                raise RuntimeError("broken step")
+
+        monkeypatch.setattr(harness, "write_profile", sleeping)
+        monkeypatch.setattr(schemes, "PairMarch", Broken)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="broken step"):
+            run_pair(RunConfig(eps=0.5, n_cells=32, t_final=0.01, record_every=2, out_dir=str(tmp_path)))
+        assert time.monotonic() - start < 30.0
+        assert_no_child_left()
