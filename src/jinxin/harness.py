@@ -22,8 +22,6 @@ import functools
 import math
 import os
 import pickle
-import select
-import signal
 import threading
 import warnings
 from dataclasses import dataclass, field, fields, replace
@@ -211,13 +209,6 @@ def _format(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _write_rows(path: str | Path, header: str, columns) -> None:
-    """``header``, then one line per row of ``columns`` (17 significant digits)."""
-    values = np.stack(columns, axis=1)
-    line = ",".join(["%.17g"] * values.shape[1]) + "\n"
-    Path(path).write_text(header + "\n" + (line * len(values)) % tuple(values.ravel().tolist()))
-
-
 @functools.lru_cache(maxsize=4)
 def _profile_rows(grid: Grid) -> str:
     """The rows of a profile on ``grid``: x formatted, then a ``%.17g`` slot for each of u, v, ubar, vbar."""
@@ -231,11 +222,10 @@ def write_profile(path: str | Path, grid: Grid, hyp: HyperbolicState, lim: Limit
 
 
 def write_series(path: str | Path, series: ErrorSeries) -> None:
-    """One row per recorded step: t, phi, cumulative error and K norms."""
-    _write_rows(
-        path, "t,phi,l2err_sq,k_dvbar_sq,k_dxxvbar_sq",
-        (series.t, series.phi, series.l2err_sq, series.k_dvbar_sq, series.k_dxxvbar_sq),
-    )
+    """One row per recorded step: t, phi, cumulative error and K norms (17 significant digits)."""
+    values = np.stack((series.t, series.phi, series.l2err_sq, series.k_dvbar_sq, series.k_dxxvbar_sq), axis=1)
+    rows = "%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(values)
+    Path(path).write_text("t,phi,l2err_sq,k_dvbar_sq,k_dxxvbar_sq\n" + rows % tuple(values.ravel().tolist()))
 
 
 def _write_profiles(tasks_fd: int, results_fd: int) -> None:
@@ -302,10 +292,14 @@ class _ProfileWriter:
         # only the writer holds the read end of the tasks and the write end of the results
         os.close(tasks_fd)
         os.close(results_in)
+        import select  # loaded by a run that forks a writer, not at import
+
+        self.reports = select.poll()
+        self.reports.register(self.results, select.POLLIN)
         return self
 
     def write(self, path: Path, grid: Grid, hyp: HyperbolicState, lim: LimitState) -> None:
-        if self.pid is not None and select.select([self.results], [], [], 0)[0]:
+        if self.pid is not None and self.reports.poll(0):
             self.close()  # a write failed or the writer died: this raises why
         if self.pid is None:
             write_profile(path, grid, hyp, lim)
@@ -812,6 +806,8 @@ def _can_fork() -> bool:
 def _reap(pid: int, kill: bool) -> int:
     """Wait for the child ``pid``, sent SIGKILL first if ``kill``; its exit code, or minus its signal."""
     if kill:
+        import signal  # loaded on this path only, not at import
+
         os.kill(pid, signal.SIGKILL)
     return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 

@@ -1,6 +1,7 @@
 import math
 import os
 import signal
+import threading
 import time
 import warnings
 from dataclasses import fields, replace
@@ -49,6 +50,24 @@ def assert_same_integrals(got, expected):
     if got is not None:
         for f in fields(got):
             assert np.array_equal(getattr(got, f.name), getattr(expected, f.name)), f.name
+
+
+def counted_forks(monkeypatch) -> list[int]:
+    """The pids that call ``os.fork`` from now on, one entry per fork."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def written(out) -> dict[str, bytes]:
+    """The bytes of each file in the directory ``out``, by name."""
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
 
 class TestConfig:
@@ -708,14 +727,7 @@ class TestInParallel:
 
     def test_a_nested_call_runs_serially(self, meeting, monkeypatch):
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-        forks = []
-        fork = os.fork
-
-        def counted_fork():
-            forks.append(os.getpid())
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counted_fork)
+        forks = counted_forks(monkeypatch)
 
         def nested(meet):
             def call():
@@ -745,23 +757,6 @@ class TestInParallel:
         assert caught[2] == caught[1]
 
 
-def counted_forks(monkeypatch) -> list[int]:
-    """The pids that call ``os.fork`` from now on, one entry per fork."""
-    forks = []
-    fork = os.fork
-
-    def counted_fork():
-        forks.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return forks
-
-
-def written(out) -> dict[str, bytes]:
-    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
-
-
 class TestProfileWriter:
     @pytest.mark.parametrize("scheme", ["jpt", "semi-discrete"])
     def test_the_files_are_the_same_with_and_without_the_writer(self, scheme, tmp_path, monkeypatch):
@@ -784,13 +779,14 @@ class TestProfileWriter:
         # no profiles at the record points: no writer
         run_pair(replace(cfg, record_every=0, out_dir=str(tmp_path / "none")))
         assert forks == []
-        # inside in_parallel, whose own child is the only fork
-        runs = [lambda i=i: run_pair(replace(cfg, out_dir=str(tmp_path / f"nested{i}"))) for i in range(2)]
-        harness.in_parallel(runs)
+        # inside in_parallel, whose own child is the only fork that either process sees
+        def nested(i):
+            run_pair(replace(cfg, out_dir=str(tmp_path / f"nested{i}")))
+            return len(forks)
+
+        assert harness.in_parallel([lambda i=i: nested(i) for i in range(2)]) == [1, 1]
         assert len(forks) == 1
         # beside another live thread
-        import threading
-
         done = threading.Event()
         thread = threading.Thread(target=done.wait)
         thread.start()
