@@ -382,7 +382,7 @@ class _RunningSums:
         # zeros, not garbage, in the slots that no step writes
         self.store = schemes._zeros((k + 1, 2, c, n + 2))
         self.slots = [self.store[:, :, j] for j in range(c)]
-        self.cross = schemes._zeros((k, c, n + 2))
+        self.cross = schemes._zeros((k, c, n + 2)) if p.flux == model.LINEAR else None  # du dv
         limit = self.store[k]
         if k_norms or residuals:
             self.dxx_vbar = schemes._zeros((c, n + 2))
@@ -443,9 +443,8 @@ class _RunningSums:
                 inc[:, col] = self.dtdx * np.add.reduce(cells[:j, 1:-1], axis=-1)
         # the cross sums (none for Burgers), then the squares in place, on
         # whole padded rows; each row (k, slot) reduces over its cells
-        linear = self.params[0].flux == model.LINEAR
         cross = 0.0
-        if linear:
+        if self.cross is not None:
             products = np.multiply(diffs[:, 0], diffs[:, 1], out=self.cross[:, :m])
             cross = np.add.reduce(products[..., 1:-1], axis=-1).T
         squares = np.multiply(diffs, diffs, out=diffs)
