@@ -547,7 +547,7 @@ class TestPairMarch:
         # every buffer starts as NaN, so a span off by one slot carries a NaN
         # (or a neighbouring row's value) into some cell; the spans of a lone
         # eps end at other slots than those of three.  The K norms come from
-        # the chunk flush's spans over the stored blocks, whose unwritten
+        # the chunk flush's spans over the stored pairs, whose unwritten
         # slots start as NaN too
         k_runs = [harness.RunConfig(eps=0.1, lam=lam, flux=flux, n_cells=40, scheme=scheme, record_every=5)
                   for scheme in harness.SCHEMES]
