@@ -22,7 +22,6 @@ from .model import (
     equilibrium_v,
     flux_eval,
     relative_entropy,
-    relative_entropy_flux,
     riemann_initial,
 )
 from .schemes import (

@@ -12,7 +12,10 @@ relative entropy flux, and four viscous residuals.  Everything here either
 evaluates that identity (it holds to rounding when time derivatives come
 from the right-hand sides, not finite differences), integrates its pieces
 in time, or checks the sign/size estimates and the resulting stability
-bound sup_t phi(t) <= phi(0) + B eps^4.
+bound sup_t phi(t) <= phi(0) + B eps^4.  phi itself is the quadratic form
+``_weighted_form``, which ``harness`` applies to the cell sums of each
+chunk of steps.  The checks return what their callers read: the budget its
+interface fluxes and defect, the entropy inequality its max slack.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .model import (
     entropy_flux,
     entropy_gradient,
     pad_edges,
-    relative_entropy,
 )
 from .schemes import (
     HyperbolicState,
@@ -38,21 +40,15 @@ from .schemes import (
 )
 
 
-def weighted_error_total(p: ModelParams, grid: Grid, du: np.ndarray, dv: np.ndarray) -> float | np.ndarray:
-    """dx-weighted quadratic error lam^2 du^2/2 + eps^2 dv^2/2 - eps^2 a du dv.
-
-    Sums along the last axis: one total per row of cells.  For the linear
-    flux this is exactly the total relative entropy; for Burgers (no
-    explicit entropy) the cross term is dropped and the same
-    relaxation-scaled weights are kept, giving the norm in which the eps^4
-    convergence rate is measured.
-    """
-    sums = (np.add.reduce(x * y, axis=-1) for x, y in ((du, du), (dv, dv), (du, dv)))
-    return _weighted_form(p, p.eps, grid.dx, *sums)
-
-
 def _weighted_form(p: ModelParams, eps, dx: float, du2, dv2, cross):
-    """``weighted_error_total`` on the cell sums of du^2, dv^2 and du dv; ``eps`` may be one per column."""
+    """dx-weighted quadratic error dx sum(lam^2 du^2/2 + eps^2 dv^2/2 - eps^2 a du dv).
+
+    Takes the cell sums of du^2, dv^2 and du dv; ``eps`` may be one per
+    column.  For the linear flux this is exactly phi, the total relative
+    entropy; for Burgers (no explicit entropy) the cross term is dropped and
+    the same relaxation-scaled weights are kept, giving the norm in which
+    the eps^4 convergence rate is measured.
+    """
     a_cross = p.a if p.flux == LINEAR else 0.0
     return dx * (0.5 * p.lam**2 * du2 + 0.5 * eps**2 * dv2 - eps**2 * a_cross * cross)
 
@@ -108,18 +104,9 @@ def residuals(p: ModelParams, grid: Grid, hyp: HyperbolicState, lim: LimitState)
 
 @dataclass
 class EntropyBudget:
-    """All pieces of the per-cell entropy evolution law at one instant."""
+    """The per-cell entropy evolution law at one instant: its interface fluxes and its defect."""
 
-    e_cells: np.ndarray
-    dedt: np.ndarray
     flux_interfaces: np.ndarray  # n+1 values, ghost closure included
-    flux_divergence: np.ndarray
-    dissipation: np.ndarray  # -[a du - dv]^2
-    forcing: np.ndarray  # eps^2 [a du - dv] dvbar/dt
-    r1: np.ndarray
-    r2: np.ndarray
-    r3: np.ndarray
-    r4: np.ndarray
     mismatch: np.ndarray  # law LHS - RHS per cell
     rel_mismatch_max: float  # max |mismatch| / (1 + largest term magnitude)
 
@@ -138,7 +125,6 @@ def entropy_budget(p: ModelParams, grid: Grid, hyp: HyperbolicState, lim: LimitS
     ddu = u_rhs - ub_rhs
     ddv = v_rhs - vb_rhs
 
-    e_cells = relative_entropy(p, hyp.u, hyp.v, lim.ubar, lim.vbar)
     dedt = (
         p.lam**2 * du * ddu
         + p.eps**2 * dv * ddv
@@ -161,20 +147,7 @@ def entropy_budget(p: ModelParams, grid: Grid, hyp: HyperbolicState, lim: LimitS
         terms = np.maximum(terms, np.abs(t))
     rel = np.abs(mismatch) / (1.0 + terms)
 
-    return EntropyBudget(
-        e_cells=e_cells,
-        dedt=dedt,
-        flux_interfaces=flux,
-        flux_divergence=flux_div,
-        dissipation=dissipation,
-        forcing=forcing,
-        r1=r1,
-        r2=r2,
-        r3=r3,
-        r4=r4,
-        mismatch=mismatch,
-        rel_mismatch_max=float(rel.max()),
-    )
+    return EntropyBudget(flux_interfaces=flux, mismatch=mismatch, rel_mismatch_max=float(rel.max()))
 
 
 def _residual_integrands(p: ModelParams, dx: float, du_ext, dv_ext, dxx_vbar) -> tuple[np.ndarray, ...]:
@@ -231,7 +204,6 @@ class ResidualReport:
     sum124_worst: float  # largest running value of int(R1+R2+R4); should be <= 0
     r3_bound_ok: bool
     r3_worst_margin: float  # most negative (bound - int_r3); >= 0 when satisfied
-    theta: float
 
     @property
     def all_ok(self) -> bool:
@@ -245,13 +217,14 @@ class ResidualReport:
             f"-> {'PASS' if self.r2_equality_ok else 'FAIL'}",
             f"int(R1+R2+R4) <= 0: worst running value {self.sum124_worst:.3e} "
             f"-> {'PASS' if self.sum124_ok else 'FAIL'}",
-            f"R3 Young bound (theta={self.theta}): worst margin {self.r3_worst_margin:.3e} "
+            f"R3 Young bound (theta={YOUNG_THETA}): worst margin {self.r3_worst_margin:.3e} "
             f"-> {'PASS' if self.r3_bound_ok else 'FAIL'}",
         ]
 
 
 EQUALITY_RTOL = 1e-12
 SIGN_GUARD = 1e-12
+YOUNG_THETA = 0.5  # the Young parameter of the R3 bound
 
 
 def _rel_defect(got: np.ndarray, expected: np.ndarray) -> float:
@@ -260,21 +233,21 @@ def _rel_defect(got: np.ndarray, expected: np.ndarray) -> float:
     return float(np.max(np.abs(got - expected) / scale))
 
 
-def residual_sign_checks(acc: ResidualIntegrals, p: ModelParams, theta: float = 0.5) -> ResidualReport:
+def residual_sign_checks(acc: ResidualIntegrals, p: ModelParams) -> ResidualReport:
     """Check the integrated residual estimates after every step, on the running arrays of ``acc``.
 
     (1) int R1 = -(lam^3/2) dx ||D_x du||^2 exactly,
     (2) int R2 = -(eps^2 lam/2) dx ||D_x dv||^2 exactly,
     (3) int (R1+R2+R4) <= 0,
     (4) int R3 <= eps^4 lam^2/(8 theta) dx^2 ||D_xx vbar||^2
-               + theta/2 * int sum dx (dv - a du)^2.
+               + theta/2 * int sum dx (dv - a du)^2, theta = ``YOUNG_THETA``.
     """
     dx = acc.dx
     r1_defect = _rel_defect(acc.int_r1, -0.5 * p.lam**3 * dx * acc.norm_dx_du_sq)
     r2_defect = _rel_defect(acc.int_r2, -0.5 * p.eps**2 * p.lam * dx * acc.norm_dx_dv_sq)
     sum124_worst = float(np.max(acc.int_r1 + acc.int_r2 + acc.int_r4))
-    young = p.eps**4 * p.lam**2 / (8.0 * theta) * dx**2
-    bound = young * acc.norm_dxx_vbar_sq + 0.5 * theta * acc.relax_sq
+    young = p.eps**4 * p.lam**2 / (8.0 * YOUNG_THETA) * dx**2
+    bound = young * acc.norm_dxx_vbar_sq + 0.5 * YOUNG_THETA * acc.relax_sq
     r3_margin = float(np.min(bound - acc.int_r3))
     scale = max(abs(acc.int_r1[-1]), abs(acc.int_r2[-1]), abs(acc.int_r4[-1]), 1e-300)
     return ResidualReport(
@@ -286,7 +259,6 @@ def residual_sign_checks(acc: ResidualIntegrals, p: ModelParams, theta: float = 
         sum124_worst=sum124_worst,
         r3_bound_ok=r3_margin >= -SIGN_GUARD * max(abs(acc.int_r3[-1]), 1.0),
         r3_worst_margin=r3_margin,
-        theta=theta,
     )
 
 
@@ -351,41 +323,22 @@ def theorem_bound_check(series: ErrorSeries, p: ModelParams) -> TheoremCheck:
     )
 
 
-@dataclass
-class EntropyInequalityReport:
-    """Entropy production audit along a relaxed trajectory.
+def entropy_inequality_check(p: ModelParams, grid: Grid, states) -> float:
+    """The max entropy production slack over sampled relaxed states.
 
-    ``production`` is dE(w_i)/dt + centered divergence of F(w_i); the
-    continuous law bounds it by -(a u - v)^2, so ``slack`` (production plus
-    the dissipation) is nonpositive up to the O(dx) viscous terms the
-    space operator adds.
+    Production is dE(w_i)/dt + centered divergence of F(w_i); the continuous
+    law bounds it by -(a u - v)^2, so the slack (production plus the
+    dissipation) is nonpositive up to the O(dx) viscous terms the space
+    operator adds.
     """
-
-    max_slack: float
-    max_production: float
-    min_production: float
-
-
-def entropy_inequality_check(p: ModelParams, grid: Grid, states) -> EntropyInequalityReport:
-    """Evaluate the entropy production budget on sampled relaxed states."""
     max_slack = -np.inf
-    max_prod = -np.inf
-    min_prod = np.inf
     for state in states:
         u_rhs, v_rhs = semi_discrete_rhs(p, grid, state)
         grad_u, grad_v = entropy_gradient(p, state.u, state.v)
         dedt = grad_u * u_rhs + grad_v * v_rhs
-        flux_cells = entropy_flux(p, state.u, state.v)
-        ext = pad_edges(flux_cells)
+        ext = pad_edges(entropy_flux(p, state.u, state.v))
         divergence = (ext[2:] - ext[:-2]) / (2.0 * grid.dx)
-        production = dedt + divergence
         relax = p.a * state.u - state.v
-        slack = production + relax * relax
+        slack = dedt + divergence + relax * relax
         max_slack = max(max_slack, float(slack.max()))
-        max_prod = max(max_prod, float(production.max()))
-        min_prod = min(min_prod, float(production.min()))
-    return EntropyInequalityReport(
-        max_slack=float(max_slack),
-        max_production=float(max_prod),
-        min_production=float(min_prod),
-    )
+    return max_slack

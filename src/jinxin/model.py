@@ -109,19 +109,10 @@ def pad_edges(w: np.ndarray) -> np.ndarray:
     return np.concatenate((w[:1], w, w[-1:]))
 
 
-def flux_eval(flux: str, a: float, u):
-    """Evaluate the scalar flux: a*u for linear, u^2/2 for Burgers."""
-    if flux == LINEAR:
-        return a * np.asarray(u, dtype=float) if np.ndim(u) else a * u
-    if flux == BURGERS:
-        return 0.5 * np.square(u) if np.ndim(u) else 0.5 * u * u
-    raise ValueError(f"unknown flux {flux!r}")
-
-
 def flux_ops(flux: str, a: float, u: np.ndarray, out: np.ndarray) -> tuple:
     """The flux of the array ``u`` written into ``out``, as (ufunc, operands) calls.
 
-    For a prebuilt op sequence: the same float operations as ``flux_eval``.
+    ``flux_eval`` replays them into a new array.
     """
     if flux == LINEAR:
         return ((np.multiply, (a, u, out)),)
@@ -130,12 +121,21 @@ def flux_ops(flux: str, a: float, u: np.ndarray, out: np.ndarray) -> tuple:
     raise ValueError(f"unknown flux {flux!r}")
 
 
-def flux_derivative(flux: str, a: float, u):
-    """df/du: constant a for linear, u itself for Burgers."""
+def flux_eval(flux: str, a: float, u) -> np.ndarray:
+    """The flux f(u) as a new array: a*u for linear, u^2/2 for Burgers."""
+    u = np.asarray(u, dtype=float)
+    out = np.empty_like(u)
+    for ufunc, operands in flux_ops(flux, a, u, out):
+        ufunc(*operands)
+    return out
+
+
+def flux_derivative(flux: str, a: float, u: np.ndarray) -> np.ndarray:
+    """df/du of the array ``u``: constant a for linear, ``u`` itself (no copy) for Burgers."""
     if flux == LINEAR:
-        return a * np.ones_like(u) if np.ndim(u) else a
+        return a * np.ones_like(u)
     if flux == BURGERS:
-        return np.asarray(u, dtype=float) if np.ndim(u) else u
+        return np.asarray(u, dtype=float)
     raise ValueError(f"unknown flux {flux!r}")
 
 
@@ -186,11 +186,6 @@ def relative_entropy(p: ModelParams, u, v, ubar, vbar):
     return entropy(p, u - ubar, v - vbar)
 
 
-def relative_entropy_flux(p: ModelParams, u, v, ubar, vbar):
-    """Relative entropy flux: the F-algebra applied to the differences."""
-    return entropy_flux(p, u - ubar, v - vbar)
-
-
 def convexity_bounds(p: ModelParams) -> ConvexityBounds:
     """Eigenvalue range [beta0, beta1] of the entropy Hessian.
 
@@ -235,5 +230,5 @@ def riemann_initial(
     u = np.where(grid.centers < grid.midpoint, float(u_left), float(u_right))
     ubar = u.copy()
     vbar = equilibrium_v(p, grid, ubar)
-    v = vbar.copy() if well_prepared else np.asarray(flux_eval(p.flux, p.a, u), dtype=float)
+    v = vbar.copy() if well_prepared else flux_eval(p.flux, p.a, u)
     return u, v, ubar, vbar

@@ -29,6 +29,18 @@ def smooth_bump(x: np.ndarray, center: float = 0.5, width: float = 0.08) -> np.n
     return np.exp(-(((x - center) / width) ** 2))
 
 
+def phi_oracle(p: ModelParams, grid: Grid, du: np.ndarray, dv: np.ndarray):
+    """phi = dx sum(lam^2 du^2/2 + eps^2 dv^2/2 - eps^2 a du dv) along the last axis (linear flux).
+
+    Written from the formula, apart from the program's quadratic form; the
+    cell sums come first and the terms associate as the program's do, so a
+    correct program matches it to the last bit.
+    """
+    assert p.flux == model.LINEAR
+    du2, dv2, cross = (np.add.reduce(x * y, axis=-1) for x, y in ((du, du), (dv, dv), (du, dv)))
+    return grid.dx * (0.5 * p.lam**2 * du2 + 0.5 * p.eps**2 * dv2 - p.eps**2 * p.a * cross)
+
+
 def pair_march(p: ModelParams, grid: Grid, dt: float, u, v, ubar=None) -> schemes.PairMarch:
     """A march of (u, v) and of the limit pair (ubar, its closure), for either scheme.
 

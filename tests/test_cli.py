@@ -119,6 +119,13 @@ class TestParsing:
          "eps=1e-300: the step rule gives dt = 0: no finite step count reaches t_final"),
         ("study --eps-list 1e-1,1e-310 --nx 10 --tfinal 0.001",
          "eps=1e-310: the grid rule dx <= eps needs more cells than a float counts at eps=1e-310"),
+        # lam^2 underflows to a zero divisor, or lam^2 or dx^2 overflows
+        ("run --lambda 1e-300",
+         "the step rule leaves the float range at dx = 0.005, lambda = 1e-300, eps = 1"),
+        ("run --lambda 1e170",
+         "the step rule leaves the float range at dx = 0.005, lambda = 1e+170, eps = 1"),
+        ("study --eps-list 0.5,0.25 --x-max 1e300",
+         "the step rule leaves the float range at dx = 5e+297, lambda = 0.72, eps = 1"),
     ])
     def test_a_step_rule_without_a_finite_step_count_is_refused(self, argv, reason, monkeypatch, capsys):
         # dt underflows to 0, t_final/dt overflows, or the grid rule's cell
@@ -181,6 +188,16 @@ class TestParsing:
             parse_args(["run", f"{flag}={value}"])  # "=" lets "-inf" through argparse
         assert err.value.code != 0
         assert "must be finite" in capsys.readouterr().err
+
+    def test_a_config_file_that_is_not_utf8_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "binary.cfg"
+        path.write_bytes(b"eps = 0.5\n\xff\xfe\x00\n")
+        with pytest.raises(SystemExit) as err:
+            cli.main(["run", "--config", str(path)])
+        assert err.value.code == 2
+        assert [line for line in capsys.readouterr().err.splitlines() if "error" in line] == [
+            f"jinxin: error: {path}: not a UTF-8 text file (invalid start byte at byte 10)"
+        ]
 
     def test_study_config_file_defaults_to_well_prepared(self, tmp_path):
         path = tmp_path / "study.cfg"

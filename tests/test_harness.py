@@ -27,7 +27,7 @@ from jinxin.harness import (
     write_study,
 )
 
-from conftest import assert_no_child_left, split_steps
+from conftest import assert_no_child_left, phi_oracle, split_steps
 
 
 def assert_same_run(got, expected):
@@ -561,7 +561,7 @@ class TestRunGroup:
             for k in range(step.n_steps + 1):
                 hyp, lim = march.states(k * dt)
                 du, dv = hyp.u - lim.ubar, hyp.v - lim.vbar
-                phi.append(diagnostics.weighted_error_total(p, grid, du, dv))
+                phi.append(phi_oracle(p, grid, du, dv))
                 if k == step.n_steps:
                     break
                 vbar = model.pad_edges(lim.vbar)
@@ -578,6 +578,27 @@ class TestRunGroup:
             integrals = result.residual_integrals
             for f, expected in zip(fields(integrals)[1:], np.array(per_step).T):
                 assert np.array_equal(getattr(integrals, f.name), expected), (eps, f.name)
+
+    def test_the_phi_oracle_sees_a_flipped_cross_term(self, monkeypatch):
+        # the oracle stands apart from diagnostics._weighted_form, so a
+        # mutant of the form moves series.phi off it
+        cfg = RunConfig(n_cells=64, t_final=0.02, scheme="semi-discrete", record_every=1)
+        p, grid = cfg.params(), cfg.grid()
+
+        def flipped(p, eps, dx, du2, dv2, cross):
+            return dx * (0.5 * p.lam**2 * du2 + 0.5 * eps**2 * dv2 + eps**2 * p.a * cross)
+
+        result = run_pair(cfg, accumulate=())
+        step = result.step
+        march = schemes.PairMarch(p, grid, step.dt, *model.riemann_initial(p, grid, 2.0, 1.0))
+        oracle = []
+        for k in range(step.n_steps + 1):
+            hyp, lim = march.states(k * step.dt)
+            oracle.append(phi_oracle(p, grid, hyp.u - lim.ubar, hyp.v - lim.vbar))
+            march.rk4_step()
+        assert np.array_equal(result.series.phi, oracle)
+        monkeypatch.setattr(diagnostics, "_weighted_form", flipped)
+        assert not np.array_equal(run_pair(cfg, accumulate=()).series.phi, oracle)
 
     @pytest.mark.parametrize("scheme", ["jpt", "semi-discrete"])
     @pytest.mark.parametrize("flux, lam, t_final", [("linear", 0.72, 0.15), ("burgers", 3.0, 0.02)])
@@ -652,7 +673,8 @@ class TestRunGroup:
     @pytest.mark.parametrize("n_cells, sizes", [(200, [3]), (20, [1, 1, 1])])
     def test_theorem_runs_equal_lone_runs(self, n_cells, sizes, monkeypatch):
         # on 200 cells the three eps share one step; on 20 each needs its own
-        epsilons = (0.1, 0.05, 0.025)
+        epsilons = harness.THEOREM_EPS
+        assert epsilons == (0.1, 0.05, 0.025)
         seen, marched = [], []
         real = harness.run_group
 
@@ -664,7 +686,7 @@ class TestRunGroup:
 
         monkeypatch.setattr(harness, "run_group", spy)
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)  # a forked child's spy records nothing here
-        assert harness.verify_theorem(RunConfig(eps=0.1, n_cells=n_cells), epsilons).passed
+        assert harness.verify_theorem(RunConfig(eps=0.1, n_cells=n_cells)).passed
         assert seen == sizes
         # the largest group marches first: on 20 cells, the smallest eps takes the most steps
         marched_eps = [r.config.eps for r in marched]

@@ -4,11 +4,11 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from jinxin import diagnostics, harness, model, schemes
+from jinxin import harness, model, schemes
 from jinxin.model import Grid, ModelParams
 from jinxin.schemes import HyperbolicState, LimitState
 
-from conftest import pair_march, smooth_bump, split_steps
+from conftest import pair_march, phi_oracle, smooth_bump, split_steps
 
 
 def constant_equilibrium(p, grid, c):
@@ -590,7 +590,7 @@ class TestPairMarch:
         y = np.array([u, v, ubar, old_order_closure(p, grid, ubar)])
         weighted = 0.0
         for _ in range(result.step.n_steps):
-            weighted += dt * diagnostics.weighted_error_total(p, grid, y[0] - y[2], y[1] - y[3])
+            weighted += dt * phi_oracle(p, grid, y[0] - y[2], y[1] - y[3])
             if scheme == "jpt":
                 y = old_order_split(p, grid, y, dt)
             else:
