@@ -14,6 +14,10 @@ from .harness import CheckOutcome, ConfigError, RunConfig
 from .schemes import InstabilityError
 
 CHECK_NAMES = ("identity", "residuals", "theorem", "entropy-ineq", "all")
+# RunConfig fields a command never reads get no flag, and a config file's values
+# for them are dropped: a study marches its sweep's eps unrecorded, and the
+# checks march the semi-discrete scheme unrecorded and write no file
+UNREAD = {"run": (), "study": ("eps", "record_every"), "verify": ("record_every", "scheme", "out_dir")}
 
 
 @dataclass(frozen=True)
@@ -44,27 +48,30 @@ def _parse_eps_list(text: str) -> tuple[float, ...]:
     return values
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, unread: tuple[str, ...]) -> None:
     # flag names mirror the config-file keys one-to-one; --nx/--tfinal are
     # short aliases kept for convenience
+    def add(dest: str, *flags: str, **kwargs) -> None:
+        if dest not in unread:
+            parser.add_argument(*flags, dest=dest, default=None, **kwargs)
+
     parser.add_argument("--config", metavar="PATH", help="flat key = value config file")
-    parser.add_argument("--out-dir", default=None, help="directory for output files (default: out)")
-    parser.add_argument("--eps", type=float, default=None, help="relaxation parameter")
-    parser.add_argument("--lambda", dest="lam", type=float, default=None, help="frozen wave speed")
-    parser.add_argument("--a", type=float, default=None, help="linear transport coefficient")
-    parser.add_argument("--flux", choices=("linear", "burgers"), default=None, help="flux function")
-    parser.add_argument("--n-cells", "--nx", dest="n_cells", type=int, default=None, help="cell count")
-    parser.add_argument("--x-min", type=float, default=None, help="left domain end")
-    parser.add_argument("--x-max", type=float, default=None, help="right domain end")
-    parser.add_argument("--cfl", type=float, default=None, help="time-step safety factor in (0, 1]")
-    parser.add_argument("--t-final", "--tfinal", dest="t_final", type=float, default=None, help="final time")
-    parser.add_argument("--u-left", type=float, default=None, help="left Riemann state")
-    parser.add_argument("--u-right", type=float, default=None, help="right Riemann state")
-    parser.add_argument(
-        "--well-prepared", type=_parse_bool_flag, default=None, metavar="BOOL",
-        help="start v on the discrete closure (true/false)",
-    )
-    parser.add_argument("--scheme", choices=harness.SCHEMES, default=None, help="time marching scheme")
+    add("out_dir", "--out-dir", help="directory for output files (default: out)")
+    add("eps", "--eps", type=float, help="relaxation parameter")
+    add("lam", "--lambda", type=float, help="frozen wave speed")
+    add("a", "--a", type=float, help="linear transport coefficient")
+    add("flux", "--flux", choices=("linear", "burgers"), help="flux function")
+    add("n_cells", "--n-cells", "--nx", type=int, help="cell count")
+    add("x_min", "--x-min", type=float, help="left domain end")
+    add("x_max", "--x-max", type=float, help="right domain end")
+    add("cfl", "--cfl", type=float, help="time-step safety factor in (0, 1]")
+    add("t_final", "--t-final", "--tfinal", type=float, help="final time")
+    add("u_left", "--u-left", type=float, help="left Riemann state")
+    add("u_right", "--u-right", type=float, help="right Riemann state")
+    add("well_prepared", "--well-prepared", type=_parse_bool_flag, metavar="BOOL",
+        help="start v on the discrete closure (true/false)")
+    add("scheme", "--scheme", choices=harness.SCHEMES, help="time marching scheme")
+    add("record_every", "--record-every", type=int, help="step stride for profile dumps")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,21 +82,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="advance the paired solutions and dump profiles/series")
-    study_p = sub.add_parser("study", help="eps sweep with the grid rule and a log-log rate fit")
-    # no verify check reads the stride, so verify has no such flag
-    for marching in (run_p, study_p):
-        _add_config_flags(marching)
-        marching.add_argument("--record-every", type=int, default=None, help="step stride for profile dumps")
+    # no abbreviations, or --eps would be read as --eps-list
+    study_p = sub.add_parser(
+        "study", help="eps sweep with the grid rule and a log-log rate fit", allow_abbrev=False,
+    )
     study_p.add_argument(
         "--eps-list", type=_parse_eps_list, default=None, metavar="E1,E2,...",
         help="comma-separated eps sweep (default: the standard sweep 1e-1 .. 1.5e-3)",
     )
-
     verify_p = sub.add_parser("verify", help="run the entropy/identity/bound checks")
-    _add_config_flags(verify_p)
     verify_p.add_argument(
         "--check", choices=CHECK_NAMES, default="all", help="which check to run",
     )
+    for name, command in (("run", run_p), ("study", study_p), ("verify", verify_p)):
+        _add_config_flags(command, UNREAD[name])
     return parser
 
 
@@ -108,6 +114,8 @@ def parse_args(argv) -> Command:
     try:
         values = harness.load_config_file(ns.config) if ns.config is not None else {}
         values.update(overrides)  # flags beat the file
+        for name in UNREAD[ns.command]:
+            values.pop(name, None)
         if ns.command == "study":
             harness.study_sweep(eps_list)
             # the rate protocol starts from the closure so the initial relative
@@ -116,7 +124,8 @@ def parse_args(argv) -> Command:
         elif ns.command == "verify":
             # the residual estimates are checked in the relaxation regime
             values.setdefault("eps", 0.1)
-        config = harness.make_config(**values)
+        # a study is validated below, at the eps it marches
+        config = RunConfig(**values) if ns.command == "study" else harness.make_config(**values)
     except (ConfigError, OSError) as exc:
         parser.error(str(exc))
     if ns.command == "verify":
@@ -137,12 +146,13 @@ def parse_args(argv) -> Command:
             replace(config, eps=eps, n_cells=harness.study_cells(config, eps)).validate()
         except ConfigError as exc:
             parser.error(f"eps={eps:g}: {exc}")
+    out_dir = getattr(ns, "out_dir", None)
     return Command(
         kind=ns.command,
         config=config,
         eps_list=eps_list,
         check=getattr(ns, "check", "all"),
-        out_dir=ns.out_dir if ns.out_dir is not None else "out",
+        out_dir=out_dir if out_dir is not None else "out",
     )
 
 

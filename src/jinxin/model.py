@@ -74,6 +74,7 @@ class Grid:
     def __post_init__(self) -> None:
         _require_finite("x_min", self.x_min)
         _require_finite("x_max", self.x_max)
+        _require_finite("the domain width x_max - x_min", self.x_max - self.x_min)
         if self.n_cells < 3:
             raise ValueError(f"need at least 3 cells, got {self.n_cells}")
         if not self.x_max > self.x_min:

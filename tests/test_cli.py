@@ -1,7 +1,10 @@
 import os
 import select
 import signal
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ from jinxin import cli, diagnostics, harness
 from jinxin.cli import build_parser, execute, parse_args
 
 from conftest import assert_no_child_left
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestParsing:
@@ -125,7 +130,14 @@ class TestParsing:
         ("run --lambda 1e170",
          "the step rule leaves the float range at dx = 0.005, lambda = 1e+170, eps = 1"),
         ("study --eps-list 0.5,0.25 --x-max 1e300",
-         "the step rule leaves the float range at dx = 5e+297, lambda = 0.72, eps = 1"),
+         "eps=0.5: the step rule leaves the float range at dx = 5e+297, lambda = 0.72, eps = 0.5"),
+        # each end is finite, the width is not
+        ("run --x-min=-1e308 --x-max 1e308 --nx 10",
+         "the domain width x_max - x_min must be finite, got inf"),
+        ("run --scheme semi-discrete --x-min=-1e308 --x-max 1e308 --nx 10",
+         "the domain width x_max - x_min must be finite, got inf"),
+        ("verify --check residuals --x-min=-1e308 --x-max 1e308",
+         "the domain width x_max - x_min must be finite, got inf"),
     ])
     def test_a_step_rule_without_a_finite_step_count_is_refused(self, argv, reason, monkeypatch, capsys):
         # dt underflows to 0, t_final/dt overflows, or the grid rule's cell
@@ -211,17 +223,18 @@ class TestParsing:
     def test_help_lists_every_config_flag(self):
         parser = build_parser()
         sub = parser._subparsers._group_actions[0]
+        # a study marches its sweep's eps unrecorded; verify marches the
+        # semi-discrete scheme unrecorded and writes no file
+        unread = {"run": set(), "study": {"--eps", "--record-every"},
+                  "verify": {"--record-every", "--scheme", "--out-dir"}}
         for name in ("run", "study", "verify"):
-            text = sub.choices[name].format_help()
-            for key in harness.CONFIG_KEYS:
-                if (name, key) == ("verify", "record_every"):
-                    continue  # no verify check reads the stride
-                flag = "--" + ("lambda" if key == "lambda" else key.replace("_", "-"))
-                assert flag in text, f"{flag} missing from {name} help"
-            assert "--config" in text and "--out-dir" in text
+            offered = set(sub.choices[name].format_help().replace(",", " ").split())
+            flags = {"--" + key.replace("_", "-") for key in harness.CONFIG_KEYS} | {"--out-dir"}
+            assert flags - unread[name] <= offered, name
+            assert not unread[name] & offered, name
+            assert "--config" in offered
         assert "--eps-list" in sub.choices["study"].format_help()
         assert "--check" in sub.choices["verify"].format_help()
-        assert "--record-every" not in sub.choices["verify"].format_help()
 
 
 class TestExecution:
@@ -396,26 +409,65 @@ class TestExecution:
             "jinxin: error: theorem check: the stability bound and phi need the linear flux, not 'burgers'"
         )
 
-    def test_only_the_marching_commands_take_a_record_stride(self, monkeypatch, capsys):
-        monkeypatch.setattr(harness, "run_group", None)  # any march would fail loudly
+    @pytest.mark.parametrize("argv", [
+        "verify --record-every 5",
+        "verify --scheme jpt --check identity",
+        "verify --out-dir x --check identity",
+        "study --record-every 5",
+        "study --eps 0.3",  # not an abbreviation of --eps-list
+        "study --eps 5 --eps-list 0.1,0.05",
+    ])
+    def test_a_command_refuses_the_flags_it_never_reads(self, argv, monkeypatch, capsys):
+        # only run takes a record stride
+        for name in ("verify_identity", "run_group"):
+            monkeypatch.setattr(harness, name, None)  # any check or march would fail loudly
         with pytest.raises(SystemExit) as err:
-            cli.main(["verify", "--record-every", "5"])
+            cli.main(argv.split())
         assert err.value.code == 2
+        flag, value = argv.split()[1:3]
         assert capsys.readouterr().err.splitlines()[-1] == (
-            "jinxin: error: unrecognized arguments: --record-every 5"
+            f"jinxin: error: unrecognized arguments: {flag} {value}"
         )
-        for kind in ("run", "study"):
-            assert parse_args([kind, "--record-every", "5"]).config.record_every == 5
+        assert parse_args(["run", "--record-every", "5"]).config.record_every == 5
+
+    def test_a_study_ignores_the_config_file_keys_it_never_reads(self, tmp_path):
+        # eps = 5 breaks the subcharacteristic condition, but no sweep point marches it
+        path = tmp_path / "study.cfg"
+        path.write_text("eps = 5\nrecord_every = -1\n")
+        config = parse_args(["study", "--config", str(path), "--eps-list", "0.1,0.05"]).config
+        assert (config.eps, config.record_every) == (1.0, 0)
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--check", "theorem"],
         ["verify", "--check", "identity"],
-        ["run", "--eps", "0.5", "--nx", "32", "--tfinal", "0.01"],
-        ["run", "--scheme", "semi-discrete", "--nx", "32", "--tfinal", "0.01"],
+        ["run", "--eps", "0.5", "--nx", "32", "--tfinal", "0.01", "--out-dir"],
+        ["run", "--scheme", "semi-discrete", "--nx", "32", "--tfinal", "0.01", "--out-dir"],
     ])
     def test_one_check_or_one_march_starts_no_process(self, argv, monkeypatch, tmp_path):
         monkeypatch.setattr(os, "fork", None)  # any fork would fail loudly
-        assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 0
+        if argv[-1] == "--out-dir":
+            argv = [*argv, str(tmp_path)]
+        assert cli.main(argv) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--check", "identity"],
+        ["verify", "--check", "all"],
+        ["run", "--eps", "0.5", "--nx", "32", "--tfinal", "0.01", "--out-dir", "{out}"],
+        ["study", "--eps-list", "1e-1,5e-2", "--nx", "32", "--tfinal", "0.01", "--out-dir", "{out}"],
+    ], ids=["verify-identity", "verify-all", "run", "study"])
+    def test_no_command_imports_numpy_random(self, argv, tmp_path):
+        # numpy.random costs a process about 6 MiB; checked in a fresh interpreter
+        script = (
+            "import sys\n"
+            "from jinxin import cli\n"
+            "status = cli.main(sys.argv[1:])\n"
+            "print(status, 'numpy.random' in sys.modules)\n"
+        )
+        argv = [arg.format(out=tmp_path) for arg in argv]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
 
     def test_a_worker_that_dies_is_one_error_line(self, monkeypatch, capsys):
         # the parent's stand-in checks wait until the forked child has taken

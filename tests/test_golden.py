@@ -8,7 +8,10 @@ reproduce them to the last bit: a one-ulp drift in any cell changes the
 
 Regenerate the reference files (only when an output change is intended)::
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [CASE ...]
+
+With case names, only those cases are rewritten, so that a change rewrites
+just the references it declares; with none, every case is.
 """
 
 from __future__ import annotations
@@ -73,10 +76,11 @@ STDOUT = {
 
 
 def produce(case: str, out_dir: Path) -> None:
-    """Run one case into ``out_dir``; stdout is kept only for the ``STDOUT`` cases."""
+    """Run one case into ``out_dir``; the ``STDOUT`` cases write no file, their stdout is kept."""
+    argv = CASES[case] if case in STDOUT else [*CASES[case], "--out-dir", str(out_dir)]
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed):
-        status = cli.main([*CASES[case], "--out-dir", str(out_dir)])
+        status = cli.main(argv)
     if status != 0:
         raise RuntimeError(f"{case}: exit status {status}")
     if case in STDOUT:
@@ -94,7 +98,10 @@ def test_outputs_are_byte_identical(case, tmp_path):
 
 
 if __name__ == "__main__":
-    for case in sorted(CASES):
+    unknown = set(sys.argv[1:]) - set(CASES)
+    if unknown:
+        sys.exit(f"unknown cases: {', '.join(sorted(unknown))}; known: {', '.join(sorted(CASES))}")
+    for case in sorted(set(sys.argv[1:]) or CASES):
         target = DATA / case
         shutil.rmtree(target, ignore_errors=True)
         produce(case, target)
