@@ -175,13 +175,6 @@ def load_config_file(path: str | Path) -> dict[str, object]:
     return overrides
 
 
-def make_config(**overrides) -> RunConfig:
-    """Defaults <- keyword overrides (None keeps the default), then validate."""
-    config = RunConfig(**{k: v for k, v in overrides.items() if v is not None})
-    config.validate()
-    return config
-
-
 @dataclass(frozen=True)
 class MassAudit:
     """Discrete mass balance of u: change minus integrated boundary fluxes."""
@@ -589,7 +582,7 @@ def run_group(
         for i in rows:
             if failed[i] is not None:
                 continue
-            states = march.states(t_k, i) if out_dir is not None or linear_semi else None
+            states = march.states(i) if out_dir is not None or linear_semi else None
             if out_dir is not None:
                 writer.write(out_dir / f"profile_{dump_tag}.csv", grid, *states)
             if linear_semi:
@@ -643,7 +636,7 @@ def run_group(
         if failed[i] is not None:
             outcomes.append(failed[i])
             continue
-        hyp, lim = march.states(p.t_final, i)
+        hyp, lim = march.states(i)
         series = ErrorSeries(
             dx=dx,
             t=np.asarray(t_rec),
@@ -927,8 +920,9 @@ def convergence_study(config: RunConfig, epsilons=DEFAULT_EPS_SWEEP) -> StudyRes
 
     Each eps gets the grid rule's resolution.  The eps that share a grid and
     a step march as one group (``_march_sweep``), with results identical to
-    lone runs.  Failures are recorded and the sweep continues.  Results are
-    keyed by eps, in decreasing order.  Fewer than two distinct eps raise
+    lone runs.  Failures are recorded and the sweep continues; a point whose
+    weighted error is not above 0 has no logarithm and fails too.  Results
+    are keyed by eps, in decreasing order.  Fewer than two distinct eps raise
     ``ConfigError`` before marching; when fewer than two points survive, the
     slope and intercept are NaN and the failures say why.
     """
@@ -948,8 +942,12 @@ def convergence_study(config: RunConfig, epsilons=DEFAULT_EPS_SWEEP) -> StudyRes
         if isinstance(outcome, Exception):
             failures.append((eps, str(outcome)))
             continue
+        err = outcome.weighted_err_sq
+        if not err > 0:  # no logarithm to fit
+            failures.append((eps, f"weighted error {err:g} is not above 0, so the log-log fit cannot use it"))
+            continue
         kept_eps.append(eps)
-        errors.append(outcome.weighted_err_sq)
+        errors.append(err)
         l2_errors.append(outcome.l2err_sq)
         cells.append(outcome.grid.n_cells)
     slope = intercept = math.nan
@@ -1016,8 +1014,8 @@ def verify_identity() -> CheckOutcome:
         p = ModelParams(eps=eps, lam=0.72, a=0.5)
         for _ in range(50):
             u, v, ubar = (_random_smooth_field(rng, modes) for _ in range(3))
-            lim = LimitState(ubar=ubar, vbar=model.equilibrium_v(p, grid, ubar), t=0.0)
-            hyp = HyperbolicState(u=u, v=v, t=0.0)
+            lim = LimitState(ubar=ubar, vbar=model.equilibrium_v(p, grid, ubar))
+            hyp = HyperbolicState(u=u, v=v)
             worst = max(worst, diagnostics.entropy_budget(p, grid, hyp, lim).rel_mismatch_max)
     passed = worst <= tol
     return CheckOutcome(
@@ -1086,10 +1084,10 @@ def _rk4_relaxed_states(p: ModelParams, grid: Grid, u: np.ndarray, v: np.ndarray
     """(u, v) and its RK4 successors to t_final; the limit pair (u, its closure) goes unread."""
     step = schemes.semi_discrete_dt(p, grid)
     march = schemes.PairMarch(p, grid, step.dt, u, v, u, model.equilibrium_v(p, grid, u))
-    yield march.states(0.0)[0]
-    for k in range(1, step.n_steps + 1):
+    yield march.states()[0]
+    for _ in range(step.n_steps):
         march.rk4_step()
-        yield march.states(k * step.dt)[0]
+        yield march.states()[0]
 
 
 def verify_entropy_inequality() -> CheckOutcome:

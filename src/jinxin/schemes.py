@@ -52,20 +52,18 @@ class InstabilityError(RuntimeError):
 
 @dataclass
 class HyperbolicState:
-    """Relaxed pair (u, v) at time t."""
+    """Cell values of the relaxed pair (u, v)."""
 
     u: np.ndarray
     v: np.ndarray
-    t: float
 
 
 @dataclass
 class LimitState:
-    """Limit pair (ubar, vbar) at time t; vbar obeys the discrete closure."""
+    """Cell values of the limit pair (ubar, vbar); vbar obeys the discrete closure."""
 
     ubar: np.ndarray
     vbar: np.ndarray
-    t: float
 
 
 @dataclass(frozen=True)
@@ -404,10 +402,10 @@ class PairMarch:
         *pairs, limit = np.isfinite(self.block).all(axis=(0, 2)).tolist()
         return [pair and limit for pair in pairs]
 
-    def states(self, t: float, row: int = 0) -> tuple[HyperbolicState, LimitState]:
-        """Copies of relaxed pair ``row`` and of the limit pair, stamped with time t."""
+    def states(self, row: int = 0) -> tuple[HyperbolicState, LimitState]:
+        """Copies of the cells of relaxed pair ``row`` and of the limit pair."""
         (u, v), (ubar, vbar) = self.pairs[[row, -1], :, 1:-1]
-        return HyperbolicState(u=u, v=v, t=t), LimitState(ubar=ubar, vbar=vbar, t=t)
+        return HyperbolicState(u=u, v=v), LimitState(ubar=ubar, vbar=vbar)
 
 
 def semi_discrete_rhs(p: ModelParams, grid: Grid, state: HyperbolicState) -> np.ndarray:

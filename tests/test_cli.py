@@ -271,6 +271,23 @@ class TestExecution:
         lines = (tmp_path / "study.csv").read_text().splitlines()
         assert lines == ["eps,n_cells,l2err_sq", "# slope=nan", "# intercept=nan"]
 
+    @pytest.mark.parametrize("argv, kept, failed", [
+        # constant data: every error is 0
+        (["--u-left", "1", "--u-right", "1", "--eps-list", "0.1,0.05"], [], ["eps=0.1", "eps=0.05"]),
+        # the 3-cell point takes one step and its left-endpoint sum reads 0
+        (["--n-cells", "3", "--eps-list", "0.5,0.1,0.05"], ["eps=0.1", "eps=0.05"], ["eps=0.5"]),
+    ], ids=["constant-data", "one-step-point"])
+    def test_a_zero_error_point_fails_alone(self, argv, kept, failed, tmp_path, capsys):
+        assert cli.main(["study", *argv, "--out-dir", str(tmp_path)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in out if "err_sq=" in line] == kept
+        failures = [line for line in out if "FAILED:" in line]
+        assert [line.split()[0] for line in failures] == failed
+        assert all(line.endswith("FAILED: weighted error 0 is not above 0, so the log-log fit cannot use it")
+                   for line in failures)
+        slope = (tmp_path / "study.csv").read_text().splitlines()[-2]
+        assert (slope == "# slope=nan") == (len(kept) < 2)
+
     def test_verify_identity_passes(self, capsys):
         cmd = parse_args(["verify", "--check", "identity"])
         assert execute(cmd) == 0
@@ -297,6 +314,17 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "[PASS] residuals" in out
         assert "summation-by-parts" in out
+
+    def test_run_forms_no_residual_integrals(self, monkeypatch, tmp_path):
+        # run prints and writes no residual integral, so a semi-discrete run forms none
+        def refuse(*_args):
+            raise AssertionError("a run formed the residual integrands")
+
+        monkeypatch.setattr(diagnostics, "_residual_integrands", refuse)
+        argv = ["run", "--scheme", "semi-discrete", "--eps", "0.5", "--nx", "32", "--tfinal", "0.01",
+                "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert (tmp_path / "series.csv").exists()
 
     def test_blow_up_is_an_error_not_a_traceback(self, tmp_path, capsys):
         # a finite, valid config whose HLL flux overflows on the first step

@@ -29,9 +29,9 @@ def weighted_error(p, grid, hyp, lim):
 
 def random_pair(rng, p, grid):
     x = grid.centers
-    hyp = HyperbolicState(u=random_smooth(rng, x), v=random_smooth(rng, x), t=0.0)
+    hyp = HyperbolicState(u=random_smooth(rng, x), v=random_smooth(rng, x))
     ubar = random_smooth(rng, x)
-    lim = LimitState(ubar=ubar, vbar=model.equilibrium_v(p, grid, ubar), t=0.0)
+    lim = LimitState(ubar=ubar, vbar=model.equilibrium_v(p, grid, ubar))
     return hyp, lim
 
 
@@ -53,18 +53,18 @@ class TestCellEntropyAndPhi:
     def test_phi_identical_states(self, base_params):
         grid = Grid(n_cells=20)
         u = np.linspace(0, 1, 20)
-        hyp = HyperbolicState(u=u, v=u.copy(), t=0.0)
-        lim = LimitState(ubar=u.copy(), vbar=u.copy(), t=0.0)
+        hyp = HyperbolicState(u=u, v=u.copy())
+        lim = LimitState(ubar=u.copy(), vbar=u.copy())
         assert weighted_error(base_params, grid, hyp, lim) == 0.0
 
     def test_phi_single_cell(self, base_params):
         grid = Grid(n_cells=20)
         u = np.zeros(20)
         v = np.zeros(20)
-        hyp = HyperbolicState(u=u.copy(), v=v.copy(), t=0.0)
+        hyp = HyperbolicState(u=u.copy(), v=v.copy())
         hyp.u[7] = 1.0
         hyp.v[7] = 0.5
-        lim = LimitState(ubar=u, vbar=v, t=0.0)
+        lim = LimitState(ubar=u, vbar=v)
         expected = grid.dx * model.relative_entropy(base_params, 1.0, 0.5, 0.0, 0.0)
         assert weighted_error(base_params, grid, hyp, lim) == pytest.approx(expected)
 
@@ -104,8 +104,8 @@ class TestDiscreteReFlux:
         u[8] = 1.0
         v = np.zeros(20)
         v[8] = -0.4
-        hyp = HyperbolicState(u=u, v=v, t=0.0)
-        lim = LimitState(ubar=np.zeros(20), vbar=np.zeros(20), t=0.0)
+        hyp = HyperbolicState(u=u, v=v)
+        lim = LimitState(ubar=np.zeros(20), vbar=np.zeros(20))
         budget = diagnostics.entropy_budget(base_params, grid, hyp, lim)
         assert set(np.flatnonzero(budget.flux_interfaces)) <= {8, 9}
 
@@ -125,8 +125,8 @@ class TestResiduals:
     def test_identical_states_vanish(self, base_params, rng):
         grid = Grid(n_cells=24)
         ubar = random_smooth(rng, grid.centers)
-        lim = LimitState(ubar=ubar, vbar=model.equilibrium_v(base_params, grid, ubar), t=0.0)
-        hyp = HyperbolicState(u=lim.ubar.copy(), v=lim.vbar.copy(), t=0.0)
+        lim = LimitState(ubar=ubar, vbar=model.equilibrium_v(base_params, grid, ubar))
+        hyp = HyperbolicState(u=lim.ubar.copy(), v=lim.vbar.copy())
         for r in diagnostics.residuals(base_params, grid, hyp, lim):
             assert np.abs(r).max() == 0.0
 
@@ -145,8 +145,8 @@ class TestResiduals:
     def test_constant_differences_kill_second_differences(self, base_params):
         grid = Grid(n_cells=24)
         ubar = np.full(24, 0.3)
-        lim = LimitState(ubar=ubar, vbar=model.equilibrium_v(base_params, grid, ubar), t=0.0)
-        hyp = HyperbolicState(u=ubar + 0.8, v=lim.vbar + 0.2, t=0.0)
+        lim = LimitState(ubar=ubar, vbar=model.equilibrium_v(base_params, grid, ubar))
+        hyp = HyperbolicState(u=ubar + 0.8, v=lim.vbar + 0.2)
         r1, r2, r3, r4 = diagnostics.residuals(base_params, grid, hyp, lim)
         assert np.abs(r1).max() == 0.0
         assert np.abs(r2).max() == 0.0
@@ -169,8 +169,8 @@ class TestIdentityMismatch:
     def test_equilibrium_pair_exact(self, base_params):
         grid = Grid(n_cells=30)
         ubar = np.full(30, 1.2)
-        lim = LimitState(ubar=ubar, vbar=model.equilibrium_v(base_params, grid, ubar), t=0.0)
-        hyp = HyperbolicState(u=ubar.copy(), v=lim.vbar.copy(), t=0.0)
+        lim = LimitState(ubar=ubar, vbar=model.equilibrium_v(base_params, grid, ubar))
+        hyp = HyperbolicState(u=ubar.copy(), v=lim.vbar.copy())
         budget = diagnostics.entropy_budget(base_params, grid, hyp, lim)
         assert np.abs(budget.mismatch).max() == 0.0
         assert budget.rel_mismatch_max == 0.0
@@ -196,7 +196,6 @@ class TestIdentityMismatch:
             scaled = HyperbolicState(
                 u=lim.ubar + s * (hyp.u - lim.ubar),
                 v=lim.vbar + s * (hyp.v - lim.vbar),
-                t=0.0,
             )
             assert diagnostics.entropy_budget(p, grid, scaled, lim).rel_mismatch_max <= 1e-10
 
@@ -350,14 +349,14 @@ class TestTheoremCheck:
             march = pair_march(p, grid, step.dt, u, vb)
             sup_phi, kdv, kdxx = 0.0, 0.0, 0.0
             for _ in range(step.n_steps):
-                _, lim = march.states(0.0)
+                _, lim = march.states()
                 _, dvdt = schemes.limit_semi_discrete_rhs(p, grid, lim)
                 kdv += step.dt * grid.dx * float((dvdt * dvdt).sum())
                 ext = model.pad_edges(lim.vbar)
                 dxx = (ext[2:] - 2 * lim.vbar + ext[:-2]) / grid.dx**2
                 kdxx += step.dt * grid.dx * float((dxx * dxx).sum())
                 march.rk4_step()
-                sup_phi = max(sup_phi, weighted_error(p, grid, *march.states(0.0)))
+                sup_phi = max(sup_phi, weighted_error(p, grid, *march.states()))
             budget = (kdv + 0.25 * p.lam**2 * grid.dx**2 * kdxx) * eps**4
             results[eps] = (sup_phi, budget)
             assert sup_phi <= budget  # the stability bound, per eps
@@ -374,14 +373,14 @@ class TestEntropyInequality:
         v = np.asarray(model.flux_eval(base_params.flux, base_params.a, u))
         # at equilibrium the dissipation vanishes, so the slack is the production
         max_slack = diagnostics.entropy_inequality_check(
-            base_params, grid, [HyperbolicState(u=u, v=v, t=0.0)]
+            base_params, grid, [HyperbolicState(u=u, v=v)]
         )
         assert max_slack == 0.0
 
     def test_relaxation_dominated_production_negative(self):
         p = ModelParams(eps=0.1, lam=0.72, a=0.5)
         grid = Grid(n_cells=30)
-        state = HyperbolicState(u=np.zeros(30), v=np.ones(30), t=0.0)
+        state = HyperbolicState(u=np.zeros(30), v=np.ones(30))
         max_slack = diagnostics.entropy_inequality_check(p, grid, [state])
         # production = -(a u - v)^2 = -1 exactly for flat data, so the slack
         # production + (a u - v)^2 vanishes
@@ -396,10 +395,10 @@ class TestEntropyInequality:
             v = model.equilibrium_v(p, grid, u) + 0.05 * smooth_bump(grid.centers, center=0.45)
             step = schemes.semi_discrete_dt(p, grid)
             march = pair_march(p, grid, step.dt, u, v)
-            states = [HyperbolicState(u=u, v=v, t=0.0)]
+            states = [HyperbolicState(u=u, v=v)]
             for _ in range(step.n_steps):
                 march.rk4_step()
-                states.append(march.states(0.0)[0])
+                states.append(march.states()[0])
             slacks.append(diagnostics.entropy_inequality_check(p, grid, states))
         assert slacks[1] <= 0.75 * slacks[0]
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -243,3 +248,11 @@ class TestRiemannInitial:
 def test_pad_edges_copies_ends():
     ext = model.pad_edges(np.array([3.0, 4.0, 5.0]))
     assert np.array_equal(ext, [3.0, 3.0, 4.0, 5.0, 5.0])
+
+
+def test_importing_model_loads_no_other_jinxin_module():
+    # the package namespace imports nothing, so a module brings only its own imports
+    script = "import sys\nfrom jinxin import model\nprint(sorted(m for m in sys.modules if m.startswith('jinxin')))\n"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.stdout.splitlines() == ["['jinxin', 'jinxin.model']"], proc.stderr

@@ -14,7 +14,7 @@ from conftest import pair_march, phi_oracle, smooth_bump, split_steps
 def constant_equilibrium(p, grid, c):
     u = np.full(grid.n_cells, float(c))
     v = np.asarray(model.flux_eval(p.flux, p.a, u))
-    return HyperbolicState(u=u, v=v, t=0.0)
+    return HyperbolicState(u=u, v=v)
 
 
 class TestStepSizes:
@@ -84,7 +84,7 @@ class TestHLLStep:
         p = ModelParams(eps=1.0, lam=0.72, a=0.5)
         grid = Grid(n_cells=4)
         state = HyperbolicState(
-            u=np.array([1.0, 1.0, 2.0, 2.0]), v=np.array([0.5, 0.5, 1.5, 1.5]), t=0.0
+            u=np.array([1.0, 1.0, 2.0, 2.0]), v=np.array([0.5, 0.5, 1.5, 1.5])
         )
         jump_u, jump_v = 1.0 - 0.36, 0.5184 * 1.5 - 0.36
         dt = 0.025
@@ -133,7 +133,7 @@ class TestRelaxationStep:
         # weight eps^2/(eps^2+dt) -> 1; flat u so the gradient source is zero
         p = ModelParams(eps=1e8, lam=0.72, a=0.5)
         grid = Grid(n_cells=20)
-        state = HyperbolicState(u=np.full(20, 2.0), v=np.linspace(1, 2, 20), t=0.0)
+        state = HyperbolicState(u=np.full(20, 2.0), v=np.linspace(1, 2, 20))
         out = relaxed(p, grid, state, dt=1e-3)
         assert np.allclose(out.v, state.v, rtol=1e-10)
 
@@ -141,7 +141,7 @@ class TestRelaxationStep:
         grid = Grid(n_cells=32)
         p = ModelParams(eps=0.0, lam=0.72, a=0.5)
         u = np.sin(np.linspace(0, 3, 32))
-        state = HyperbolicState(u=u, v=np.zeros(32), t=0.0)
+        state = HyperbolicState(u=u, v=np.zeros(32))
         out = relaxed(p, grid, state, dt=1e-3)
         assert np.allclose(out.v, model.equilibrium_v(p, grid, u), rtol=1e-14)
 
@@ -243,13 +243,13 @@ class TestSemiDiscreteRhs:
         grid = Grid(n_cells=50)
         u = grid.centers.copy()  # slope one
         v = p.a * u
-        du_dt, _ = schemes.semi_discrete_rhs(p, grid, HyperbolicState(u, v, 0.0))
+        du_dt, _ = schemes.semi_discrete_rhs(p, grid, HyperbolicState(u, v))
         assert np.allclose(du_dt[1:-1], -p.a)
 
     def test_relaxation_dominance(self):
         p = ModelParams(eps=0.05, lam=0.72, a=0.5)
         grid = Grid(n_cells=30)
-        state = HyperbolicState(u=np.zeros(30), v=np.ones(30), t=0.0)
+        state = HyperbolicState(u=np.zeros(30), v=np.ones(30))
         _, dv_dt = schemes.semi_discrete_rhs(p, grid, state)
         assert np.allclose(dv_dt, -1.0 / p.eps**2)
 
@@ -264,7 +264,7 @@ class TestLimitSemiDiscreteRhs:
     def test_constant_state_is_steady(self, base_params):
         grid = Grid(n_cells=25)
         ubar = np.full(25, 2.0)
-        lim = LimitState(ubar=ubar, vbar=model.equilibrium_v(base_params, grid, ubar), t=0.0)
+        lim = LimitState(ubar=ubar, vbar=model.equilibrium_v(base_params, grid, ubar))
         dub, dvb = schemes.limit_semi_discrete_rhs(base_params, grid, lim)
         assert np.abs(dub).max() == 0.0
         assert np.abs(dvb).max() == 0.0
@@ -274,7 +274,7 @@ class TestLimitSemiDiscreteRhs:
         grid = Grid(n_cells=40)
         ubar = grid.centers**2
         vbar = model.equilibrium_v(p, grid, ubar)
-        dub, dvb = schemes.limit_semi_discrete_rhs(p, grid, LimitState(ubar, vbar, 0.0))
+        dub, dvb = schemes.limit_semi_discrete_rhs(p, grid, LimitState(ubar, vbar))
 
         # independent loop evaluation of the same stencils
         dx = grid.dx
@@ -296,22 +296,22 @@ class TestLimitSemiDiscreteRhs:
         ubar = np.linspace(0, 1, 20)
         vbar = model.equilibrium_v(base_params, grid, ubar) + 1e-6
         with pytest.raises(ValueError):
-            schemes.limit_semi_discrete_rhs(base_params, grid, LimitState(ubar, vbar, 0.0))
+            schemes.limit_semi_discrete_rhs(base_params, grid, LimitState(ubar, vbar))
 
     def test_chain_rule_matches_time_differences(self):
         p = ModelParams(eps=0.1, lam=0.72, a=0.5, t_final=0.01)
         grid = Grid(n_cells=100)
         ubar = 1.0 + 0.5 * smooth_bump(grid.centers, width=0.1)
-        lim0 = LimitState(ubar=ubar, vbar=model.equilibrium_v(p, grid, ubar), t=0.0)
+        lim0 = LimitState(ubar=ubar, vbar=model.equilibrium_v(p, grid, ubar))
         _, dvdt = schemes.limit_semi_discrete_rhs(p, grid, lim0)
         scale = np.abs(dvdt).max()
 
         def centered_gap(dt):
             march = pair_march(p, grid, dt, ubar, lim0.vbar, ubar)
             march.rk4_step()
-            _, mid = march.states(dt)
+            _, mid = march.states()
             march.rk4_step()
-            _, ahead = march.states(2 * dt)
+            _, ahead = march.states()
             _, dmid = schemes.limit_semi_discrete_rhs(p, grid, mid)
             fd = (ahead.vbar - lim0.vbar) / (2 * dt)
             return np.abs(fd - dmid).max()
@@ -327,7 +327,7 @@ class TestIntegrator:
     def test_constant_trajectory(self, base_params):
         grid = Grid(n_cells=20)
         hyp = constant_equilibrium(base_params, grid, 1.5)
-        lim = LimitState(hyp.u.copy(), model.equilibrium_v(base_params, grid, hyp.u), 0.0)
+        lim = LimitState(hyp.u.copy(), model.equilibrium_v(base_params, grid, hyp.u))
         dt = schemes.semi_discrete_dt(base_params, grid).dt
         march = pair_march(base_params, grid, dt, hyp.u, hyp.v, lim.ubar)
         for _ in range(16):
