@@ -13,13 +13,16 @@ fits the log-log rate of the relaxation-scaled squared error.  The groups
 of a sweep, like the checks of ``verify``, share no state: ``in_parallel``
 runs them on two processes when two CPUs are free.  By the same rule
 (``_can_fork``), a run that writes profiles at its record points hands
-their formatting to a forked writer.  The ``verify`` checks run fixed
-constants; only the residual and theorem runs read the config, and the
-theorem check marches its own eps, ``THEOREM_EPS``.
+their formatting to a forked writer.  Both fork through one helper,
+``_Child``: a child fed by a task pipe, which pickles its result or its
+error back and is reaped, or killed, when the block ends.  The ``verify``
+checks run fixed constants; only the residual and theorem runs read the
+config, and the theorem check marches its own eps, ``THEOREM_EPS``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -234,111 +237,15 @@ def write_series(path: str | Path, series: ErrorSeries) -> None:
     Path(path).write_text("t,phi,l2err_sq,k_dvbar_sq,k_dxxvbar_sq\n" + rows % tuple(values.ravel().tolist()))
 
 
-def _write_profiles(tasks_fd: int, results_fd: int) -> None:
-    """The forked profile writer: ``write_profile`` each message of the pipe until it ends.
-
-    A write that raises is reported at once, through the results pipe, and
-    no later message is written; the pipe is still read to its end, so the
-    march never waits on a full pipe.  Leaves by ``os._exit``.
-    """
-    code = 1
-    try:
-        failed = False
-        with open(tasks_fd, "rb") as tasks, open(results_fd, "wb") as results:
-            while True:
-                try:
-                    message = pickle.load(tasks)
-                except EOFError:
-                    break
-                if failed:
-                    continue
-                try:
-                    write_profile(*message)
-                except Exception as exc:  # raised again in the marching process
-                    # read there at its next write or at its end: an error
-                    # naming one path is far below the 64 KiB a pipe holds
-                    results.write(pickle.dumps(exc))
-                    results.flush()
-                    failed = True
-        code = 0
-    finally:
-        os._exit(code)
-
-
-class _ProfileWriter:
-    """Where ``run_group`` sends its profiles: a forked process that writes them, or this one.
-
-    With ``fork`` true, entering the ``with`` block forks one writer,
-    ``write()`` pickles its arguments into a pipe, and the march goes on
-    while the writer formats; otherwise ``write()`` is ``write_profile``.
-    Leaving the block drains the writer and reaps it, then raises what one
-    of its writes raised, or ``ChildProcessError`` if it died.  A write
-    that raised shows at the next ``write()`` already.  Leaving by an
-    exception kills the writer before it is reaped.
-    """
-
-    def __init__(self, fork: bool) -> None:
-        self.fork, self.pid = fork, None
-
-    def __enter__(self) -> _ProfileWriter:
-        if not self.fork:
-            return self
-        tasks_fd, self.tasks = os.pipe()
-        self.results, results_in = os.pipe()
-        try:
-            self.pid = os.fork()
-        except BaseException:
-            for fd in (tasks_fd, self.tasks, self.results, results_in):
-                os.close(fd)
-            raise
-        if self.pid == 0:
-            os.close(self.tasks)
-            os.close(self.results)
-            _write_profiles(tasks_fd, results_in)
-        # only the writer holds the read end of the tasks and the write end of the results
-        os.close(tasks_fd)
-        os.close(results_in)
-        import select  # loaded by a run that forks a writer, not at import
-
-        self.reports = select.poll()
-        self.reports.register(self.results, select.POLLIN)
-        return self
-
-    def write(self, path: Path, grid: Grid, hyp: HyperbolicState, lim: LimitState) -> None:
-        if self.pid is not None and self.reports.poll(0):
-            self.close()  # a write failed or the writer died: this raises why
-        if self.pid is None:
-            write_profile(path, grid, hyp, lim)
-            return
-        message = memoryview(pickle.dumps((path, grid, hyp, lim), pickle.HIGHEST_PROTOCOL))
-        try:
-            while message:
-                message = message[os.write(self.tasks, message) :]
-        except BrokenPipeError:
-            self.close()  # the writer died: this raises how
-
-    def close(self, kill: bool = False) -> None:
-        """Drain and reap the writer, killed first if ``kill``; unless killed, raise what it reported."""
-        if self.pid is None:
-            return
-        pid, self.pid = self.pid, None
-        os.close(self.tasks)
-        payload = None
-        try:
-            with open(self.results, "rb") as results:
-                if not kill:
-                    payload = results.read()
-        finally:
-            status = _reap(pid, kill=payload is None)
-        if payload is None:
-            return
-        if status != 0:
-            raise _child_failed("profile writer", status)
-        if payload:
-            raise pickle.loads(payload)
-
-    def __exit__(self, kind, value, traceback) -> None:
-        self.close(kill=kind is not None)
+def _write_profiles(tasks: int) -> None:
+    """The forked profile writer: ``write_profile`` each task of the pipe ``tasks`` until it ends or one raises."""
+    with open(tasks, "rb") as stream:
+        while True:
+            try:
+                profile = pickle.load(stream)
+            except EOFError:
+                return
+            write_profile(*profile)
 
 
 ACCUMULATORS = ("k-norms", "residuals")
@@ -393,18 +300,18 @@ class _RunningSums:
         if k_norms or residuals:
             self.dxx_vbar = schemes._zeros((c, n + 2))
             span = self.dxx_vbar.reshape(-1)[1:-1]
-            self.dxx_ops = (
+            self.dxx_ops = schemes._prepared((
                 *schemes._second_difference_ops(limit[1].reshape(-1), span),
                 (np.divide, (span, dx**2, span)),
-            )
+            ))
         if k_norms:
             rates, self.dvbar_dt = schemes._zeros((2, c, n + 2))
-            self.rate_ops = (
+            self.rate_ops = schemes._prepared((
                 *schemes._pair_rate_ops(p, dx, limit, (), rates),
                 *schemes._closure_rate_ops(
                     p, dx, limit[0].reshape(-1)[1:-1], rates, self.dvbar_dt.reshape(-1)[1:-1]
                 ),
-            )
+            ))
         self.res0 = 3 * k + 2  # the first residual column
         self.acc = np.zeros((c + 1, self.res0 + 8 * k * residuals))
         self.start = 0  # the step of slot 0
@@ -501,7 +408,7 @@ def run_group(
     the chunk of ``_RunningSums``, whose flush forms every diagnostic from the
     copies; the entropy budgets alone, which need the states, are evaluated
     at the record points.  When profiles are written at record points
-    (``record_every`` > 0) and ``_can_fork()``, a forked ``_ProfileWriter``
+    (``record_every`` > 0) and ``_can_fork()``, a forked ``_Child`` writer
     formats them while the march goes on, into the same bytes.  It is
     drained and reaped before this returns or raises; what one of its writes
     raised is raised here, and a writer that died raises
@@ -559,7 +466,9 @@ def run_group(
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     record_every = config.record_every
-    writer = _ProfileWriter(fork=out_dir is not None and record_every > 0 and _can_fork())
+    fork = out_dir is not None and record_every > 0 and _can_fork()
+    writer = _Child("profile writer", _write_profiles) if fork else contextlib.nullcontext()
+    write = writer.send if fork else write_profile
 
     sums = _RunningSums(params, grid, dt, k_norms, residuals)
     slots = sums.slots
@@ -584,17 +493,16 @@ def run_group(
                 continue
             states = march.states(i) if out_dir is not None or linear_semi else None
             if out_dir is not None:
-                writer.write(out_dir / f"profile_{dump_tag}.csv", grid, *states)
+                write(out_dir / f"profile_{dump_tag}.csv", grid, *states)
             if linear_semi:
                 rel = diagnostics.entropy_budget(params[i], grid, *states).rel_mismatch_max
                 identity_rel_max[i] = max(identity_rel_max[i], rel)
 
     chunk = sums.chunk
-    # a forked writer formats the profiles while the march goes on
     with writer:
         j = 0  # the slot of step k in the chunk
         for k in range(n_steps):
-            np.copyto(slots[j], march.pairs)
+            slots[j][...] = march.pairs
             if k == 0 or (record_every > 0 and k % record_every == 0):
                 if not check_cells():
                     return failed
@@ -624,7 +532,7 @@ def run_group(
                 failed[i] = schemes.InstabilityError("non-finite residual integrals: the residual terms overflow")
 
         # after the flush, the final state takes slot 0
-        np.copyto(slots[0], march.pairs)
+        slots[0][...] = march.pairs
         record(n_steps, p.t_final, "final")
 
     sums.flush(0)
@@ -763,38 +671,6 @@ def _usable_cpus() -> int:
 _parallel_running = False
 
 
-def _take(calls, tasks) -> list[tuple[int, bool, object]]:
-    """Run the calls whose indices this process reads from the pipe ``tasks``, until it is drained.
-
-    Returns (index, raised, result or exception) per call taken.
-    """
-    taken = []
-    while index := tasks.read(4):
-        i = int.from_bytes(index, "little")
-        try:
-            taken.append((i, False, calls[i]()))
-        except Exception as exc:  # raised by in_parallel, in call order
-            taken.append((i, True, exc))
-    return taken
-
-
-def _serve(calls, tasks, results) -> None:
-    """The forked child of ``in_parallel``: take calls, send back what they gave, leave by ``os._exit``."""
-    global _parallel_running
-    code = 1
-    try:
-        _parallel_running = True
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            taken = _take(calls, tasks)
-        raised = [(w.message, w.category, w.filename, w.lineno) for w in caught]
-        results.write(pickle.dumps((taken, raised)))
-        results.flush()
-        code = 0
-    finally:
-        os._exit(code)
-
-
 def _can_fork() -> bool:
     """Whether this process may fork a helper process.
 
@@ -808,77 +684,139 @@ def _can_fork() -> bool:
     )
 
 
-def _reap(pid: int, kill: bool) -> int:
-    """Wait for the child ``pid``, sent SIGKILL first if ``kill``; its exit code, or minus its signal."""
-    if kill:
-        import signal  # loaded on this path only, not at import
-
-        os.kill(pid, signal.SIGKILL)
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+def _write_all(fd: int, data: bytes) -> None:
+    """Write all of ``data`` to the file descriptor ``fd``, in as many calls as that takes."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
 
 
-def _child_failed(what: str, status: int) -> ChildProcessError:
-    """The error for a forked ``what`` that ended with ``status`` before it sent its results."""
-    ended = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
-    return ChildProcessError(f"the {what} process {ended} before it sent its results")
+class _Child:
+    """A forked child that runs ``serve(tasks)`` on the read end of a task pipe, and pipes its result back.
+
+    With ``ahead`` (bytes, at most the 64 KiB a pipe holds), the task pipe
+    holds them before the fork and then ends, and ``tasks`` is this
+    process's read end, so both processes take tasks; without, ``tasks`` is
+    the write end, into which ``send()`` pickles each task for the child
+    alone.  The child never writes to stdout: it pickles back what
+    ``serve`` returned or raised, with the warnings it raised, and leaves by
+    ``os._exit``.  Leaving the ``with`` block ends the task pipe, drains the
+    result pipe and reaps the child, killed first if the block raised.  It
+    then issues the child's warnings again, and raises what ``serve``
+    raised, or ``ChildProcessError`` if the child died before it sent its
+    result; otherwise ``result`` holds what ``serve`` returned.  A broken
+    task pipe means that the child ended early, and raises why.
+    """
+
+    def __init__(self, what: str, serve, ahead: bytes | None = None) -> None:
+        self.what, self.serve, self.ahead = what, serve, ahead
+
+    def __enter__(self) -> _Child:
+        tasks, feed = os.pipe()
+        self.results, reply = os.pipe()
+        try:
+            if self.ahead is not None:
+                _write_all(feed, self.ahead)
+            self.pid = os.fork()
+        except BaseException:
+            for fd in (tasks, feed, self.results, reply):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(feed)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        outcome = [False, self.serve(tasks)]
+                    except Exception as exc:  # raised again in this process
+                        outcome = [True, exc]
+                outcome.append([(w.message, w.category, w.filename, w.lineno) for w in caught])
+                _write_all(reply, pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+                code = 0
+            finally:
+                os._exit(code)
+        # the results end when the child does, and a dead child breaks the
+        # task pipe: only the child holds the ends that this process closes
+        os.close(reply)
+        self.tasks, other = (tasks, feed) if self.ahead is not None else (feed, tasks)
+        os.close(other)
+        return self
+
+    def send(self, *task) -> None:
+        _write_all(self.tasks, pickle.dumps(task, pickle.HIGHEST_PROTOCOL))
+
+    def __exit__(self, kind, value, traceback) -> None:
+        kill = kind is not None and not issubclass(kind, BrokenPipeError)
+        os.close(self.tasks)
+        payload = None
+        try:
+            with open(self.results, "rb") as results:
+                if not kill:
+                    payload = results.read()
+        finally:
+            if payload is None:
+                import signal  # loaded on this path only, not at import
+
+                os.kill(self.pid, signal.SIGKILL)
+            status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        if payload is None:
+            return
+        if status != 0 or not payload:
+            ended = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
+            raise ChildProcessError(f"the {self.what} process {ended} before it sent its results")
+        raised, self.result, caught = pickle.loads(payload)
+        # the registry that a warning raised here would use, so a warning
+        # shown once per location stays shown once
+        registry = globals().setdefault("__warningregistry__", {})
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+        if raised:
+            raise self.result
+
+
+def _take(calls, tasks: int) -> list[tuple[int, bool, object]]:
+    """Run the calls whose indices this process reads from the pipe ``tasks``, until it is drained.
+
+    Returns (index, raised, result or exception) per call taken.
+    """
+    taken = []
+    while index := os.read(tasks, 4):
+        i = int.from_bytes(index, "little")
+        try:
+            taken.append((i, False, calls[i]()))
+        except Exception as exc:  # raised by in_parallel, in call order
+            taken.append((i, True, exc))
+    return taken
 
 
 def in_parallel(calls) -> list:
     """The results of the zero-argument ``calls``, in order, computed by up to two processes.
 
-    With two calls or more and ``_can_fork()``, one child is forked;
+    With two calls or more and ``_can_fork()``, one ``_Child`` is forked;
     otherwise the calls run here, one after the other.  The child and this
-    process take call indices in turn from one pipe, so the load balances
-    itself and a list that puts its largest calls first ends soonest.  The
-    child never writes to stdout: it pickles its results and the warnings
-    its calls raised back through a second pipe and leaves by ``os._exit``.
-    Its warnings are issued again here.
-
-    As in a serial run, the first call in call order that raised raises
-    here, although later calls may have run.  A child that dies or sends
-    nothing raises ``ChildProcessError``.  The child is reaped on every
-    exit path.
+    process take call indices in turn from its task pipe, so the load
+    balances itself and a list that puts its largest calls first ends
+    soonest.  As in a serial run, the first call in call order that raised
+    raises here, although later calls may have run.
     """
     global _parallel_running
     calls = list(calls)
     if len(calls) < 2 or not _can_fork():
         return [call() for call in calls]
-    # every index is in the pipe before the fork, so a read that finds it
-    # empty finds its end; at 4 bytes per index a pipe's 64 KiB hold 16,384
-    tasks_fd, tasks_in = os.pipe()
-    with open(tasks_in, "wb") as stream:
-        stream.write(b"".join(i.to_bytes(4, "little") for i in range(len(calls))))
-    results_fd, results_in = os.pipe()
-    with open(tasks_fd, "rb", buffering=0) as tasks, open(results_fd, "rb") as results:
-        with open(results_in, "wb") as stream:
-            pid = os.fork()
-            if pid == 0:
-                _serve(calls, tasks, stream)
-        # only the child holds the write end now: the read ends when the child does
-        payload = None
-        try:
-            _parallel_running = True
-            taken = _take(calls, tasks)
-            payload = results.read()
-        finally:
-            _parallel_running = False
-            status = _reap(pid, kill=payload is None)
-    if status != 0 or not payload:
-        raise _child_failed("worker", status)
-    child_taken, raised = pickle.loads(payload)
-    # the registry that a warning raised here would use, so a warning shown
-    # once per location stays shown once
-    registry = globals().setdefault("__warningregistry__", {})
-    for message, category, filename, lineno in raised:
-        warnings.warn_explicit(message, category, filename, lineno, registry=registry)
-    outcomes = {i: (failed, value) for i, failed, value in taken + child_taken}
-    out = []
-    for i in range(len(calls)):
-        failed, value = outcomes[i]
+    indices = b"".join(i.to_bytes(4, "little") for i in range(len(calls)))
+    _parallel_running = True  # in the child as well
+    try:
+        with _Child("worker", functools.partial(_take, calls), indices) as child:
+            taken = _take(calls, child.tasks)
+    finally:
+        _parallel_running = False
+    outcomes = sorted(taken + child.result)  # by call index, each call taken once
+    for _, failed, value in outcomes:
         if failed:
             raise value
-        out.append(value)
-    return out
+    return [value for _, _, value in outcomes]
 
 
 def _march_sweep(configs: list[RunConfig], accumulate) -> list[RunResult | Exception]:

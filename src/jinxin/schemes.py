@@ -32,13 +32,17 @@ them, the ghost refresh that ends every step and RK4 stage overwrites the
 junk written into the block's ghosts, and scratch buffers start zeroed.
 A row's partner sits one half further on, so the only ops on 2-D views are
 the pair swaps, on two contiguous rows, and the ghost refresh.  Each kernel
-is a tuple of (ufunc, operands) calls, ``out`` last, built once with the
-march; a step replays its tuple.
+is a tuple of (ufunc, operands) calls, ``out`` last, with every constant
+factor a 0-d float64 array (a ufunc takes one faster than a Python float)
+and every copy a slice assignment (faster than ``np.copyto``); a stepper
+builds its tuple on its first call, and each step replays it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,6 +135,11 @@ def _run(ops) -> None:
         op(*operands)
 
 
+def _prepared(ops) -> tuple:
+    """``ops`` to replay many times, each Python float operand a 0-d float64 array: same values, no per-call cast."""
+    return tuple((op, tuple(np.array(x) if isinstance(x, float) else x for x in operands)) for op, operands in ops)
+
+
 def _per_row(values, width: int) -> np.ndarray:
     """One constant per row, repeated over the ``width`` slots of its padded row."""
     return np.repeat(np.asarray(values, dtype=float), width)
@@ -148,10 +157,10 @@ def _ghost_ops(block: np.ndarray) -> tuple:
     """Refresh the copy ghosts of a ghost-padded block, every row at once.
 
     The zero-gradient closure of ``model.pad_edges``: the strided views pick
-    the ghosts (0, n+1) and the edge cells (1, n) they copy.
+    the ghosts (0, n+1) and the edge cells (1, n) they copy, by slice assignment.
     """
     n = block.shape[-1] - 2
-    return ((np.copyto, (block[..., :: n + 1], block[..., 1 : n + 1 : n - 1])),)
+    return ((operator.setitem, (block[..., :: n + 1], ..., block[..., 1 : n + 1 : n - 1])),)
 
 
 def _second_difference_ops(row: np.ndarray, out: np.ndarray) -> tuple:
@@ -257,12 +266,9 @@ def _pair_rate_ops(
     jumps, first = _zeros((2, 2, half))
     first_rates = first.reshape(-1)[1 : size - 1]
     eps2 = [eps**2 for eps in epsilons]
-    # the swapped jumps, u's from v and v's from u; a vbar row takes 0.
-    # Every march builds these ops, and a splitting march admits an eps
-    # whose eps^2 is 0: its coefficient reads -inf, in ops that never run.
+    # the swapped jumps, u's from v and v's from u; a vbar row takes 0
     stiff = np.zeros(block.shape[1])
-    with np.errstate(divide="ignore", over="ignore"):
-        stiff[: len(eps2)] = -p.lam**2 / (2.0 * dx * np.array(eps2, dtype=float))
+    stiff[: len(eps2)] = [-p.lam**2 / (2.0 * dx * e2) for e2 in eps2]
     swap = np.stack((np.full(half, -1.0 / (2.0 * dx)), _per_row(stiff, width)))
     second = _zeros(size - 2)
     ops = (
@@ -299,7 +305,7 @@ class PairMarch:
     constants are columns, one entry per row, so no kernel mixes pairs.
     ``ubar`` and ``vbar`` view the limit cells; ``u`` and ``v`` view the
     relaxed cells, one row per eps, or the cells themselves when there is
-    one eps.  Two steppers share the block and the dt.  One step of the
+    one eps.  The steppers share the block and the dt.  One step of the
     splitting scheme is
 
         convect()     explicit half: HLL convection of every (u, v) and, in
@@ -310,9 +316,12 @@ class PairMarch:
 
     and one step of the semi-discrete scheme is ``rk4_step()``: classical
     RK4 of all method-of-lines pairs, vbar re-closed after every stage.
-    Each of them replays an op sequence built here.  Neither stepper
-    allocates nor checks finiteness: that is ``finite_pairs()``, for the
-    caller to run where it reads the cells.
+    Each stepper builds its op sequence and scratch buffers on its first
+    call and replays them from then on, so a splitting march holds no RK4
+    buffers, and one at eps = 0 never forms the 1/eps^2 coefficients of
+    the method-of-lines rates.  Neither stepper allocates after its first
+    call nor checks finiteness: that is ``finite_pairs()``, for the caller
+    to run where it reads the cells.
     """
 
     def __init__(
@@ -320,21 +329,26 @@ class PairMarch:
         u: np.ndarray, v: np.ndarray, ubar: np.ndarray, vbar: np.ndarray,
         epsilons: tuple[float, ...] | None = None,
     ) -> None:
-        width, dx = grid.n_cells + 2, grid.dx
-        epsilons = (p.eps,) if epsilons is None else tuple(epsilons)
+        self.p, self.dx, self.dt = p, grid.dx, dt
+        self.epsilons = epsilons = (p.eps,) if epsilons is None else tuple(epsilons)
         k = len(epsilons)
         self.block = block = _padded(*[(u, v)] * k, (ubar, vbar))
         self.pairs = pairs = block.transpose(1, 0, 2)
         self.relaxed, self.limit = pairs[:k, :, 1:-1], pairs[k, :, 1:-1]
         self.ubar, self.vbar = self.limit
         self.u, self.v = self.relaxed[0] if k == 1 else block[:, :k, 1:-1]
-        flat = block.reshape(-1)
-        refresh = _ghost_ops(block.reshape(-1, width))
+        self._refresh = _ghost_ops(block.reshape(-1, grid.n_cells + 2))
+
+    @functools.cached_property
+    def _convect_ops(self) -> tuple:
+        return _prepared((*_hll_ops(self.p, self.block, self.dt, self.dx), *self._refresh))
+
+    @functools.cached_property
+    def _relax_ops(self) -> tuple:
+        p, dx, dt, epsilons, block = self.p, self.dx, self.dt, self.epsilons, self.block
+        width, flat = block.shape[2], block.reshape(-1)
         # the slots of one half, and the end of the relaxed rows in each half
-        half, relaxed_end = block[0].size, k * width
-
-        self._convect_ops = (*_hll_ops(p, block, dt, dx), *refresh)
-
+        half, relaxed_end = block[0].size, len(epsilons) * width
         # the closure of the u half lines up with the v half: the
         # relaxation targets beside the v rows, the closure vbar beside vbar
         targets = _zeros(half)
@@ -342,23 +356,27 @@ class PairMarch:
         scratch = _zeros(v_span.shape)
         coefs = [(1.0 - eps**2) * p.lam**2 for eps in epsilons] + [p.lam**2]
         weights = _per_row([eps**2 / (eps**2 + dt) for eps in epsilons], width)[1:-1]
-        self._relax_ops = (
+        return _prepared((
             *_closure_ops(p, dx, flat[:half], _per_row(coefs, width)[1:-1], targets[1:-1]),
             # v <- target + w (v - target): this form keeps equilibria exact,
             # and w = eps^2/(eps^2 + dt) = 0 at eps = 0 lands v on the closure
             (np.subtract, (v_span, target_span, scratch)),
             (np.multiply, (weights, scratch, scratch)),
             (np.add, (target_span, scratch, v_span)),
-            (np.copyto, (self.vbar, targets[relaxed_end + 1 : -1])),
-            *refresh,
-        )
+            (operator.setitem, (self.vbar, ..., targets[relaxed_end + 1 : -1])),
+            *self._refresh,
+        ))
 
+    @functools.cached_property
+    def _rk4_ops(self) -> tuple:
+        p, dx, dt, epsilons, block = self.p, self.dx, self.dt, self.epsilons, self.block
+        k, width = len(epsilons), block.shape[2]
         # RK4 on the span of every row but vbar; the stage re-closes vbar
-        span = half + relaxed_end
+        span = block[0].size + k * width
         stage = _zeros(block.shape)
         rates = _zeros((4, span))
         k_flat = [r[1:-1] for r in rates]
-        y0, y = flat[1 : span - 1], stage.reshape(-1)[1 : span - 1]
+        y0, y = block.reshape(-1)[1 : span - 1], stage.reshape(-1)[1 : span - 1]
 
         def close(b: np.ndarray) -> tuple:
             # every ghost, vbar re-closed, then the ghosts of vbar
@@ -374,13 +392,13 @@ class PairMarch:
                 *_pair_rate_ops(p, dx, stage, epsilons, out=rates[i + 1]),
             )
         k2_k3 = rates[1:3].reshape(-1)
-        self._rk4_ops = ops + (
+        return _prepared(ops + (
             (np.multiply, (2.0, k2_k3, k2_k3)),
             *((np.add, (k_flat[0], k_flat[i], k_flat[0])) for i in (1, 2, 3)),
             (np.multiply, (dt / 6.0, k_flat[0], k_flat[0])),
             (np.add, (y0, k_flat[0], y0)),
             *close(block),
-        )
+        ))
 
     def convect(self) -> None:
         """Explicit half step: HLL convection of every pair, ubar with vbar in its flux."""

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -600,3 +601,56 @@ class TestPairMarch:
         assert (grid.n_cells, result.step.n_steps) == (200, 2183)
         assert (np.abs(new - y).max(axis=1) <= 1e-12 * np.abs(y).max(axis=1)).all()
         assert abs(result.weighted_err_sq - weighted) <= 1e-12 * weighted
+
+
+def held_bytes(build) -> int:
+    """The bytes that the object ``build()`` returns still holds, by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        kept = build()  # noqa: F841 (alive while measured)
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStepperBuffers:
+    """Each stepper of a ``PairMarch`` builds its ops and buffers on its first call."""
+
+    @staticmethod
+    def march(eps: float, *steppers):
+        # the largest march of the lab: 667 cells, as at eps = 1.5e-3 in a study
+        p = ModelParams(eps=eps, lam=0.72, a=0.5)
+        grid = Grid(n_cells=667)
+        u, v, ub, vb = model.riemann_initial(p, grid, 2.0, 1.0)
+        dt = schemes.marching_dt(p, grid).dt
+
+        def build():
+            march = schemes.PairMarch(p, grid, dt, u, v, ub, vb)
+            for stepper in steppers:
+                stepper(march)
+            return march
+
+        return build
+
+    def test_a_splitting_march_holds_no_rk4_buffers(self):
+        # 604.5 KiB when every march built both steppers
+        assert held_bytes(self.march(1.5e-3, split_steps)) < 250 * 1024
+
+    def test_an_rk4_march_holds_no_splitting_buffers(self):
+        bare = held_bytes(self.march(1.5e-3))
+        split = held_bytes(self.march(1.5e-3, split_steps))
+        rk4 = held_bytes(self.march(1.5e-3, schemes.PairMarch.rk4_step))
+        both = held_bytes(self.march(1.5e-3, schemes.PairMarch.rk4_step, split_steps))
+        # the splitting steps still allocate their buffers after an RK4 step
+        assert both - rk4 >= 0.9 * (split - bare) > 50 * 1024
+
+    def test_a_splitting_march_at_eps_0_divides_by_no_zero(self):
+        p = ModelParams(eps=0.0, lam=0.72, a=0.5)
+        grid = Grid(n_cells=667)
+        u, v, ub, vb = model.riemann_initial(p, grid, 2.0, 1.0, well_prepared=True)
+        with np.errstate(all="raise"):
+            march = split_steps(schemes.PairMarch(p, grid, schemes.marching_dt(p, grid).dt, u, v, ub, vb), 3)
+        # at eps = 0 the relaxed pair is the limit pair, bit for bit
+        assert np.isfinite(march.block).all()
+        assert np.array_equal(march.pairs[0], march.pairs[1])
+
