@@ -641,8 +641,9 @@ class TestStepperBuffers:
         split = held_bytes(self.march(1.5e-3, split_steps))
         rk4 = held_bytes(self.march(1.5e-3, schemes.PairMarch.rk4_step))
         both = held_bytes(self.march(1.5e-3, schemes.PairMarch.rk4_step, split_steps))
-        # the splitting steps still allocate their buffers after an RK4 step
-        assert both - rk4 >= 0.9 * (split - bare) > 50 * 1024
+        # the splitting steps still allocate their buffers after an RK4 step:
+        # all of them (a ratio of about 0.97), not only convect's (about half)
+        assert both - rk4 >= 0.8 * (split - bare) > 50 * 1024
 
     def test_a_splitting_march_at_eps_0_divides_by_no_zero(self):
         p = ModelParams(eps=0.0, lam=0.72, a=0.5)
