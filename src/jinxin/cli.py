@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness
+from . import harness, model
 from .harness import CheckOutcome, ConfigError, RunConfig
 from .schemes import InstabilityError
 
@@ -60,7 +60,7 @@ def _add_config_flags(parser: argparse.ArgumentParser, unread: tuple[str, ...]) 
     add("eps", "--eps", type=float, help="relaxation parameter")
     add("lam", "--lambda", type=float, help="frozen wave speed")
     add("a", "--a", type=float, help="linear transport coefficient")
-    add("flux", "--flux", choices=("linear", "burgers"), help="flux function")
+    add("flux", "--flux", choices=model.FLUX_KINDS, help="flux function")
     add("n_cells", "--n-cells", "--nx", type=int, help="cell count")
     add("x_min", "--x-min", type=float, help="left domain end")
     add("x_max", "--x-max", type=float, help="right domain end")
@@ -125,12 +125,12 @@ def parse_args(argv) -> Command:
             # the residual estimates are checked in the relaxation regime
             values.setdefault("eps", 0.1)
         config = RunConfig(**values)
-        if ns.command != "study":  # a study is validated below, at the eps it marches
+        if ns.command == "run":  # the others are validated below, at the runs they march
             config.validate()
     except (ConfigError, OSError) as exc:
         parser.error(str(exc))
     if ns.command == "verify":
-        # both marching checks need the linear flux; the residual run also a valid eps
+        # each check validates the runs it marches; only the residual run reads the config's eps
         try:
             if ns.check in ("residuals", "all"):
                 harness.residual_config(config).validate()
@@ -138,7 +138,8 @@ def parse_args(argv) -> Command:
             parser.error(f"residual check: {exc}")
         try:
             if ns.check in ("theorem", "all"):
-                harness.theorem_config(config)
+                for run in harness.theorem_configs(config):
+                    run.validate()
         except ConfigError as exc:
             parser.error(f"theorem check: {exc}")
     for eps in eps_list:

@@ -978,9 +978,13 @@ def residual_config(config: RunConfig) -> RunConfig:
     return _linear_semi_discrete(config, "the residual integrals")
 
 
-def theorem_config(config: RunConfig) -> RunConfig:
-    """The well-prepared semi-discrete runs of ``config`` that the theorem check marches; linear flux only."""
-    return replace(_linear_semi_discrete(config, "the stability bound and phi"), well_prepared=True)
+THEOREM_EPS = (0.1, 0.05, 0.025)
+
+
+def theorem_configs(config: RunConfig) -> list[RunConfig]:
+    """The well-prepared semi-discrete runs the theorem check marches, one per ``THEOREM_EPS``; linear flux only."""
+    base = _linear_semi_discrete(config, "the stability bound and phi")
+    return [replace(base, eps=eps, well_prepared=True) for eps in THEOREM_EPS]
 
 
 def verify_residuals(config: RunConfig) -> CheckOutcome:
@@ -992,27 +996,21 @@ def verify_residuals(config: RunConfig) -> CheckOutcome:
     return CheckOutcome(name="residuals", passed=report.all_ok, lines=lines + report.lines())
 
 
-THEOREM_EPS = (0.1, 0.05, 0.025)
-
-
 def verify_theorem(config: RunConfig) -> CheckOutcome:
     """Stability bound on well-prepared semi-discrete runs of ``config`` at each eps of ``THEOREM_EPS``.
 
     The eps that share the grid's step march as one group (``_march_sweep``);
     the first failed run, in ``THEOREM_EPS`` order, raises.  sup phi covers every step.
     """
-    base = theorem_config(config)
-    results = _march_sweep([replace(base, eps=eps) for eps in THEOREM_EPS], accumulate=("k-norms",))
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
     lines: list[str] = []
     ok = True
-    for eps, result in zip(THEOREM_EPS, results):
+    for result in _march_sweep(theorem_configs(config), accumulate=("k-norms",)):
+        if isinstance(result, Exception):
+            raise result
         check = diagnostics.theorem_bound_check(result.series, result.config.params())
         ok = ok and check.satisfied
         lines.append(
-            f"eps={eps:g}: sup phi {check.sup_phi:.6e} <= bound {check.bound:.6e} "
+            f"eps={result.config.eps:g}: sup phi {check.sup_phi:.6e} <= bound {check.bound:.6e} "
             f"(margin {check.margin:.3e}) -> {'PASS' if check.satisfied else 'FAIL'}"
         )
     return CheckOutcome(name="theorem", passed=ok, lines=lines)

@@ -15,6 +15,15 @@ from jinxin.cli import build_parser, execute, parse_args
 from conftest import assert_no_child_left
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
+
+
+def _readme_command_lines() -> list[str]:
+    """Every ``jinxin ...`` line of README's Command line block, comments stripped."""
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = (line.split("#", 1)[0].strip() for line in block.splitlines())
+    return [line for line in lines if line.startswith("jinxin ")]
 
 
 class TestParsing:
@@ -54,6 +63,12 @@ class TestParsing:
         path.write_text("eps = 0.2\n")
         assert parse_args(["verify", "--config", str(path)]).config.eps == 0.2
         assert parse_args(["run"]).config.eps == 1.0  # the RunConfig default
+
+    @pytest.mark.parametrize("line", _readme_command_lines())
+    def test_every_readme_command_line_parses(self, line):
+        # a flag or API cut that breaks a documented preset fails here
+        cmd = parse_args(line.split()[1:])
+        assert cmd.kind == line.split()[1]
 
     def test_study_default_sweep(self):
         cmd = parse_args(["study"])
@@ -108,6 +123,61 @@ class TestParsing:
             "jinxin: error: residual check: semi-discrete integration requires eps > 0"
         )
 
+    def test_verify_validates_the_theorem_runs_at_their_own_eps(self, monkeypatch, capsys):
+        # the residual run at eps = 0.001 is valid; the theorem's eps = 0.1 run is not
+        for name in ("verify_identity", "run_group"):
+            monkeypatch.setattr(harness, name, None)  # any check would fail loudly
+        with pytest.raises(SystemExit) as err:
+            cli.main(["verify", "--check", "all", "--eps", "0.001", "--a", "10"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "jinxin: error: theorem check: subcharacteristic condition violated: "
+            "lam=0.72 is not above eps*|wave speed| for eps=0.1"
+        )
+
+    @pytest.mark.parametrize("argv, status_line", [
+        # eps = 0.5 with a = 2 breaks the subcharacteristic condition, but no check marches it
+        ("verify --check theorem --eps 0.5 --a 2 --nx 20", "[PASS] theorem"),
+        # 10^8 cells exceed the cell-step cap, but the identity check has its own 50
+        ("verify --check identity --nx 100000000", "[PASS] identity"),
+        # a = 10 breaks it at verify's eps = 0.1, but the entropy inequality marches fixed constants
+        ("verify --check entropy-ineq --a 10", "[PASS] entropy-ineq"),
+    ])
+    def test_verify_validates_no_run_it_does_not_march(self, argv, status_line, capsys):
+        assert cli.main(argv.split()) == 0
+        assert capsys.readouterr().out.splitlines()[0] == status_line
+
+    @pytest.mark.parametrize("argv, reason", [
+        ("run --well-prepared maybe", "argument --well-prepared: expected a boolean, got 'maybe'"),
+        ("study --eps-list 0.1,abc", "argument --eps-list: bad eps list '0.1,abc'"),
+        ("study --eps-list ,", "argument --eps-list: empty eps list"),
+    ])
+    def test_a_malformed_flag_value_is_refused(self, argv, reason, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "run_group", None)  # any march would fail loudly
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv.split())
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if "error" in line] == [
+            f"jinxin {argv.split()[0]}: error: {reason}"
+        ]
+
+    def test_a_malformed_config_file_value_is_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "run_group", None)  # any march would fail loudly
+        path = tmp_path / "run.cfg"
+        path.write_text("well_prepared = maybe\n")
+        with pytest.raises(SystemExit) as err:
+            cli.main(["run", "--config", str(path)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if "error" in line] == [
+            "jinxin: error: bad value for well_prepared: 'maybe'"
+        ]
+
     @pytest.mark.parametrize("argv, reason", [
         ("run --scheme semi-discrete --eps 1e-300 --nx 10 --tfinal 0.001",
          "the step rule gives dt = 0: no finite step count reaches t_final"),
@@ -137,7 +207,7 @@ class TestParsing:
         ("run --scheme semi-discrete --x-min=-1e308 --x-max 1e308 --nx 10",
          "the domain width x_max - x_min must be finite, got inf"),
         ("verify --check residuals --x-min=-1e308 --x-max 1e308",
-         "the domain width x_max - x_min must be finite, got inf"),
+         "residual check: the domain width x_max - x_min must be finite, got inf"),
     ])
     def test_a_step_rule_without_a_finite_step_count_is_refused(self, argv, reason, monkeypatch, capsys):
         # dt underflows to 0, t_final/dt overflows, or the grid rule's cell
